@@ -63,7 +63,12 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so that every
+// deferred writer (CPU and heap profiles, the trace file) has run before
+// main exits, including when the bench gate fails.
+func run() int {
 	device := flag.String("device", "pmem", "pmem or dram")
 	dir := flag.String("dir", "read", "read or write")
 	pattern := flag.String("pattern", "individual", "grouped, individual, or random")
@@ -111,8 +116,7 @@ func main() {
 	defer writeMemProfile(*memprofile)
 
 	if *benchJSON != "" {
-		runBenchMode(ctx, *benchJSON, *benchBaseline, *benchTolerance, *benchDiagnose)
-		return
+		return runBenchMode(ctx, *benchJSON, *benchBaseline, *benchTolerance, *benchDiagnose)
 	}
 
 	d, err := parseDir(*dir)
@@ -135,7 +139,7 @@ func main() {
 	if *advise {
 		a := core.Advise(core.WorkloadDesc{Dir: d, Pattern: p, FullControl: pol == cpu.PinCores})
 		fmt.Println(a)
-		return
+		return 0
 	}
 
 	cfg := machine.DefaultConfig()
@@ -203,7 +207,7 @@ func main() {
 		}
 		res.Fprint(os.Stdout)
 		emitMetrics(m.Metrics(), *showMetrics, *metricsJSON)
-		return
+		return 0
 	}
 
 	if *traceFile != "" {
@@ -230,7 +234,7 @@ func main() {
 			fmt.Printf("  %-12s %8.2f GB/s over %6.2f s\n", s.Label, s.Bandwidth/1e9, s.Seconds)
 		}
 		emitMetrics(m.Metrics(), *showMetrics, *metricsJSON)
-		return
+		return 0
 	}
 
 	b, err := core.NewBench(cfg)
@@ -281,7 +285,7 @@ func main() {
 				}
 			}
 			markDegraded(degraded)
-			return
+			return 0
 		}
 		res, err := b.SweepThreads(ctx, point, axis)
 		degraded := checkSweepErr(err)
@@ -306,7 +310,7 @@ func main() {
 				}
 			}
 			markDegraded(degraded)
-			return
+			return 0
 		}
 		res, err := b.SweepAccessSize(ctx, point, axis)
 		degraded := checkSweepErr(err)
@@ -318,6 +322,7 @@ func main() {
 		fatal(fmt.Errorf("unknown sweep axis %q (threads or size)", *sweep))
 	}
 	emitMetrics(b.M.Metrics(), *showMetrics, *metricsJSON)
+	return 0
 }
 
 // requireIsolatedSweep rejects flag combinations that need every sweep
@@ -335,7 +340,7 @@ func requireIsolatedSweep(showMetrics bool, metricsJSON, traceDir, faultsFlag st
 // writes the report, and optionally gates against a baseline. With -diagnose
 // the doctor triages the comparison — attributing any regression to the
 // counter family that shifted — on stderr, whichever way the gate goes.
-func runBenchMode(ctx context.Context, outPath, baselinePath string, tolerance float64, diagnose bool) {
+func runBenchMode(ctx context.Context, outPath, baselinePath string, tolerance float64, diagnose bool) int {
 	// Read the baseline before writing the report: ratcheting writes the new
 	// report over the committed baseline file in place (-bench-json
 	// BENCH_sim.json -bench-baseline BENCH_sim.json), so the old bytes must
@@ -369,7 +374,7 @@ func runBenchMode(ctx context.Context, outPath, baselinePath string, tolerance f
 		fatal(err)
 	}
 	if baselinePath == "" {
-		return
+		return 0
 	}
 	if diagnose {
 		diagnoseBenchDiff(base, rep, tolerance)
@@ -378,9 +383,10 @@ func runBenchMode(ctx context.Context, outPath, baselinePath string, tolerance f
 		for _, f := range findings {
 			fmt.Fprintln(os.Stderr, "pmembench: bench regression:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintln(os.Stderr, "pmembench: bench within tolerance of baseline")
+	return 0
 }
 
 // diagnoseBenchDiff runs the doctor's bench-diff triage and prints it to

@@ -8,8 +8,8 @@ import (
 )
 
 // TestWarmedRunAllocs pins the engine's steady-state allocation budget: on a
-// warmed engine (execution memoized, stream arena and label caches filled,
-// fluid solver warm-started) a repeated query run may allocate only the
+// warmed engine (execution memoized, stream arena and label caches filled)
+// a repeated query run may allocate only the
 // caller-visible result copy and the run-result bookkeeping. Regressions
 // here are exactly the per-query garbage the arena work removed.
 func TestWarmedRunAllocs(t *testing.T) {

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +54,7 @@ func (b *Bench) Region(class access.DeviceClass, socket topology.SocketID, size 
 	switch class {
 	case access.PMEM:
 		if b.pmem[socket] == nil {
-			r, err := b.M.AllocPMEM(fmt.Sprintf("bench/pmem%d", socket), socket, size, machine.DevDax)
+			r, err := b.M.AllocPMEM("bench/pmem"+strconv.Itoa(int(socket)), socket, size, machine.DevDax)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +63,7 @@ func (b *Bench) Region(class access.DeviceClass, socket topology.SocketID, size 
 		return b.pmem[socket], nil
 	case access.DRAM:
 		if b.dram[socket] == nil {
-			r, err := b.M.AllocDRAM(fmt.Sprintf("bench/dram%d", socket), socket, size)
+			r, err := b.M.AllocDRAM("bench/dram"+strconv.Itoa(int(socket)), socket, size)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +138,8 @@ func (b *Bench) MeasureDetailedContext(ctx context.Context, p Point) (machine.Ru
 		reg.WarmFor(threadSocket)
 	}
 	streams, err := workload.Build(b.M, workload.Spec{
-		Name:       fmt.Sprintf("%v-%v-%v-%d-%dthr", p.Class, p.Dir, p.Pattern, p.AccessSize, p.Threads),
+		Name: p.Class.String() + "-" + p.Dir.String() + "-" + p.Pattern.String() + "-" +
+			strconv.FormatInt(p.AccessSize, 10) + "-" + strconv.Itoa(p.Threads) + "thr",
 		Dir:        p.Dir,
 		Pattern:    p.Pattern,
 		AccessSize: p.AccessSize,

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/machine"
 )
 
 // The experiments are the repository's regression surface: EXPERIMENTS.md
@@ -133,41 +131,6 @@ func TestSweepWidthForcedSerialWithMetrics(t *testing.T) {
 	b := runSuite(t, wide)
 	if a != b {
 		t.Fatalf("metrics run with SweepWidth=4 differs from serial:\n%s", firstDiff(a, b))
-	}
-}
-
-// TestWarmStartByteIdentical is the warm-started-solve contract: the fluid
-// solver replays a stored equilibrium only on an exact input match, so
-// forcing every solve cold (machine.DisableWarmStart) must reproduce the
-// warm run byte for byte — tables and every metrics counter — across the
-// experiments that lean on warm starts hardest (fig14a/fig14b's query
-// flights, ext02's hybrid placements, ext05's partitioning sweep).
-func TestWarmStartByteIdentical(t *testing.T) {
-	ids := []string{"fig14a", "fig14b", "ext02", "ext05"}
-	var list []Experiment
-	for _, id := range ids {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		list = append(list, e)
-	}
-	render := func() string {
-		t.Helper()
-		cfg := detCfg()
-		cfg.Jobs = 1
-		var buf bytes.Buffer
-		if _, err := RunList(context.Background(), cfg, list, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	warm := render()
-	machine.DisableWarmStart = true
-	defer func() { machine.DisableWarmStart = false }()
-	cold := render()
-	if warm != cold {
-		t.Fatalf("warm-started output differs from cold solves:\n%s", firstDiff(warm, cold))
 	}
 }
 

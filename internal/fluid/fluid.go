@@ -87,123 +87,10 @@ var solveEpoch atomic.Uint64
 // accumulate in flow order, loads update in flow order, and the per-round
 // step is a minimum (order-independent).
 type Solver struct {
-	// WarmStart enables input-signature memoization: when the flow and
-	// resource population of a Solve call is bitwise-identical to the
-	// previous one (same flow pointers, active sets, weights, caps, cost
-	// vectors, and resource capacities), the stored equilibrium is restored
-	// verbatim instead of re-running progressive filling. Because outputs
-	// are only ever replayed on exact input match, results are byte-identical
-	// to cold solves by construction. Adjacent sweep points and the repeated
-	// fixed-point iterations inside one run hit this path constantly.
-	WarmStart bool
-
 	touched []*Resource // resources registered this solve, first-touch order
 	slope   []float64   // parallel to touched: load increase per unit theta
 	active  []*Flow
 	frozen  []bool // parallel to active
-
-	// Warm-start snapshot: inputs (flows with their cost vectors, resources
-	// with capacities) and outputs (per-flow rates, per-resource loads) of
-	// the last cold solve. warmValid gates replay; it is cleared whenever a
-	// snapshot would be unsound (cost-only resources outside the resources
-	// list carry load across solves, so their presence disables snapshots).
-	warmValid bool
-	warmFlows []warmFlow
-	warmCosts []Cost      // concatenated cost vectors, indexed by warmFlow.costLo/Hi
-	warmRes   []*Resource // the resources list of the snapshot solve
-	warmCap   []float64   // parallel to warmRes: capacities at snapshot time
-	warmLoad  []float64   // parallel to warmRes: solved loads
-}
-
-// warmFlow is one flow's warm-start signature and solved rate.
-type warmFlow struct {
-	flow    *Flow
-	active  bool
-	weight  float64
-	maxRate float64
-	costLo  int // range into Solver.warmCosts
-	costHi  int
-	rate    float64
-}
-
-// warmMatch reports whether the current population is bitwise-identical to
-// the snapshot's.
-func (s *Solver) warmMatch(flows []*Flow, resources []*Resource) bool {
-	if !s.warmValid || len(flows) != len(s.warmFlows) || len(resources) != len(s.warmRes) {
-		return false
-	}
-	for i, r := range resources {
-		if s.warmRes[i] != r || s.warmCap[i] != r.Capacity {
-			return false
-		}
-	}
-	for i, f := range flows {
-		w := &s.warmFlows[i]
-		if w.flow != f || w.maxRate != f.MaxRate {
-			return false
-		}
-		active := !f.Done && f.Remaining > 0
-		if w.active != active {
-			return false
-		}
-		if active && w.weight != f.weight() {
-			return false
-		}
-		if w.costHi-w.costLo != len(f.Costs) {
-			return false
-		}
-		for j, c := range f.Costs {
-			if s.warmCosts[w.costLo+j] != c {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// warmRestore replays the snapshot's outputs.
-func (s *Solver) warmRestore(flows []*Flow, resources []*Resource) {
-	for i, f := range flows {
-		f.Rate = s.warmFlows[i].rate
-	}
-	for i, r := range resources {
-		r.load = s.warmLoad[i]
-	}
-}
-
-// warmSnapshot records the just-solved population and its outputs. Only
-// sound when every touched resource is in the resources list (cost-only
-// resources outside it accumulate load across solves, making the result
-// dependent on history rather than on this call's inputs).
-func (s *Solver) warmSnapshot(flows []*Flow, resources []*Resource) {
-	if len(s.touched) != len(resources) {
-		s.warmValid = false
-		return
-	}
-	s.warmFlows = s.warmFlows[:0]
-	s.warmCosts = s.warmCosts[:0]
-	for _, f := range flows {
-		w := warmFlow{
-			flow:    f,
-			active:  !f.Done && f.Remaining > 0,
-			weight:  f.weight(),
-			maxRate: f.MaxRate,
-			costLo:  len(s.warmCosts),
-			rate:    f.Rate,
-		}
-		s.warmCosts = append(s.warmCosts, f.Costs...)
-		w.costHi = len(s.warmCosts)
-		s.warmFlows = append(s.warmFlows, w)
-	}
-	s.warmRes = s.warmRes[:0]
-	s.warmCap = s.warmCap[:0]
-	s.warmLoad = s.warmLoad[:0]
-	for _, r := range resources {
-		s.warmRes = append(s.warmRes, r)
-		s.warmCap = append(s.warmCap, r.Capacity)
-		s.warmLoad = append(s.warmLoad, r.load)
-	}
-	s.warmValid = true
 }
 
 // register stamps the resource with this solve's epoch and assigns it a
@@ -229,11 +116,6 @@ func (s *Solver) register(r *Resource, epoch uint64) {
 // (freezing every flow that uses it) or a flow reaches MaxRate.
 func (s *Solver) Solve(flows []*Flow, resources []*Resource) {
 	const eps = 1e-12
-
-	if s.WarmStart && s.warmMatch(flows, resources) {
-		s.warmRestore(flows, resources)
-		return
-	}
 
 	epoch := solveEpoch.Add(1)
 	s.touched = s.touched[:0]
@@ -362,10 +244,6 @@ func (s *Solver) Solve(flows []*Flow, resources []*Resource) {
 			break
 		}
 	}
-
-	if s.WarmStart {
-		s.warmSnapshot(flows, resources)
-	}
 }
 
 // Solve is the package-level convenience wrapper: a one-shot Solver. Loops
@@ -417,12 +295,6 @@ type Engine struct {
 	// model implements SteadyModel; a test hook for verifying the
 	// fast-forward path changes nothing.
 	DisableSteady bool
-
-	// WarmStart enables the solver's input-signature memoization (see
-	// Solver.WarmStart). The machine model sets it for fault-free runs;
-	// runs under an injection plan keep it off so capacity ramps always
-	// re-solve from cold state.
-	WarmStart bool
 
 	// StopOnCompletion makes Run return as soon as any finite flow
 	// completes instead of running the remaining flows to their own ends.
@@ -476,7 +348,6 @@ func (e *Engine) RunContext(ctx context.Context, maxTime float64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e.solver.WarmStart = e.WarmStart
 	sm, hasSteady := e.Model.(SteadyModel)
 	hasSteady = hasSteady && !e.DisableSteady
 	solved := false // rates from the last solve still describe the flow set

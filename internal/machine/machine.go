@@ -182,12 +182,6 @@ type Machine struct {
 	eng *fluid.Engine
 }
 
-// DisableWarmStart forces cold fluid solves on every machine run — the test
-// hook the determinism goldens use to byte-diff the warm-start path against
-// the cold path (mirroring fluid.Engine.DisableSteady). Set it only from
-// tests, before any runs start.
-var DisableWarmStart bool
-
 // New builds a machine from the configuration.
 func New(cfg Config) (*Machine, error) {
 	topo, err := topology.New(cfg.Topology)

@@ -1,8 +1,8 @@
 package machine
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -133,8 +133,8 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 		uWDram:    make([]float64, m.topo.Sockets()),
 	}
 	for s := 0; s < m.topo.Sockets(); s++ {
-		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: fmt.Sprintf("pmem-media-%d", s), Capacity: 1})
-		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: fmt.Sprintf("dram-media-%d", s), Capacity: 1})
+		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: "pmem-media-" + strconv.Itoa(s), Capacity: 1})
+		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: "dram-media-" + strconv.Itoa(s), Capacity: 1})
 	}
 	rm.dramSystem = &fluid.Resource{Name: "dram-system", Capacity: m.cfg.DRAM.SystemReadBytesPerSec}
 	rm.ssdRes = &fluid.Resource{Name: "ssd", Capacity: 1}
@@ -142,7 +142,7 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 		for b := 0; b < m.topo.Sockets(); b++ {
 			if a != b {
 				r := &fluid.Resource{
-					Name:     fmt.Sprintf("upi-%d-%d", a, b),
+					Name:     "upi-" + strconv.Itoa(a) + "-" + strconv.Itoa(b),
 					Capacity: m.cfg.UPI.RawBytesPerSecPerDir,
 				}
 				rm.upiDirs[[2]int{a, b}] = r
@@ -398,7 +398,7 @@ func (rm *runModel) computeCosts(pop population) {
 	// Refresh dynamic resources.
 	for key, n := range pop.coldCount {
 		if _, ok := rm.coldRes[key]; !ok {
-			r := &fluid.Resource{Name: fmt.Sprintf("cold-r%d-s%d", key.Region, key.Socket)}
+			r := &fluid.Resource{Name: "cold-r" + strconv.Itoa(key.Region) + "-s" + strconv.Itoa(key.Socket)}
 			rm.coldRes[key] = r
 			rm.dynList = append(rm.dynList, r)
 			rm.resValid = false
@@ -491,7 +491,7 @@ func (rm *runModel) computeCosts(pop population) {
 				var ok bool
 				tr, ok = rm.threadRes[tk]
 				if !ok {
-					tr = &fluid.Resource{Name: fmt.Sprintf("thread-%s-c%d", s.Policy, s.Placement.Core), Capacity: 1}
+					tr = &fluid.Resource{Name: "thread-" + s.Policy.String() + "-c" + strconv.Itoa(int(s.Placement.Core)), Capacity: 1}
 					rm.threadRes[tk] = tr
 					rm.dynList = append(rm.dynList, tr)
 					rm.resValid = false

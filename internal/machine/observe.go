@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -15,7 +16,6 @@ import (
 // each maps to a hardware counter the paper's methodology reads (iMC channel
 // counters, UPI link events, VTune's buffer and prefetch statistics).
 type recorder struct {
-	reg      *metrics.Registry
 	sockets  int
 	channels int
 
@@ -83,104 +83,163 @@ type recorder struct {
 	faultScaleMin    *metrics.Gauge
 }
 
-func newRecorder(reg *metrics.Registry, topo *topology.Topology) *recorder {
-	r := &recorder{
-		reg:      reg,
-		sockets:  topo.Sockets(),
-		channels: topo.ChannelsPerSocket(),
+// handles hands out one kind of recorder handle in the order layout asks
+// for them. While a topology shape's names are built (naming), it records
+// each formatted name and hands out nils; binding a machine then slices the
+// resolved handles without formatting anything.
+type handles[H any] struct {
+	naming bool
+	names  []string
+	h      []*H
+}
 
-		regionAllocs: reg.Counter("machine.region.allocs"),
-		regionFrees:  reg.Counter("machine.region.frees"),
-		allocPMEM:    reg.Counter("machine.region.alloc_bytes.pmem"),
-		allocDRAM:    reg.Counter("machine.region.alloc_bytes.dram"),
-		allocSSD:     reg.Counter("machine.region.alloc_bytes.ssd"),
-		prefaultB:    reg.Counter("machine.prefault.bytes"),
-		prefaultSec:  reg.Counter("machine.prefault.seconds"),
-		faultInB:     reg.Counter("machine.fault_in.bytes"),
-		runCount:     reg.Counter("machine.run.count"),
-		runSeconds:   reg.Counter("machine.run.virtual_seconds"),
-
-		ssdBytes: reg.Counter("ssd.bytes"),
-
-		upiCross:    reg.Counter("upi.crossings"),
-		upiColdB:    reg.Counter("upi.cold_bytes"),
-		upiWarmups:  reg.Counter("upi.warmups"),
-		upiMarkWarm: reg.Counter("upi.mark_warm"),
-		upiInval:    reg.Counter("upi.invalidations"),
-
-		pfBytes:   reg.Counter("cpu.prefetch.bytes"),
-		pfUseful:  reg.Counter("cpu.prefetch.useful_bytes"),
-		pfWasted:  reg.Counter("cpu.prefetch.wasted_media_bytes"),
-		pfEffMean: reg.Gauge("cpu.prefetch.efficiency.mean"),
-		htShared:  reg.Counter("cpu.ht_shared.streams"),
-
-		faultActivations: reg.Counter("fault.activations"),
-		faultRecoveries:  reg.Counter("fault.recoveries"),
-		faultActive:      reg.Gauge("fault.active"),
-		faultThrottleSec: reg.Counter("fault.throttle.socket_seconds"),
-		faultChanSec:     reg.Counter("fault.channel_offline.socket_seconds"),
-		faultXPBSec:      reg.Counter("fault.xpbuffer.socket_seconds"),
-		faultUPISec:      reg.Counter("fault.upi_degraded.link_seconds"),
-		faultRewarm:      reg.Counter("fault.rewarm.invalidations"),
-		faultScaleMin:    reg.Gauge("fault.media_scale.min"),
+// take hands out the next n handles; name(i) is the i-th one's name.
+func (hs *handles[H]) take(n int, name func(i int) string) []*H {
+	if hs.naming {
+		for i := range n {
+			hs.names = append(hs.names, name(i))
+		}
+		return make([]*H, n)
 	}
+	out := hs.h[:n:n]
+	hs.h = hs.h[n:]
+	return out
+}
+
+func (hs *handles[H]) one(name string) *H {
+	return hs.take(1, func(int) string { return name })[0]
+}
+
+func (hs *handles[H]) perSocket(format string, sockets int) []*H {
+	return hs.take(sockets, func(s int) string { return fmt.Sprintf(format, s) })
+}
+
+// grid hands out one handle per [socket][channel].
+func (hs *handles[H]) grid(format string, sockets, channels int) [][]*H {
+	out := make([][]*H, sockets)
+	for s := range out {
+		out[s] = hs.take(channels, func(c int) string { return fmt.Sprintf(format, s, c) })
+	}
+	return out
+}
+
+// links hands out one handle per [from][to] socket pair, nil on the
+// diagonal, where no UPI link runs.
+func (hs *handles[H]) links(format string, sockets int) [][]*H {
+	out := make([][]*H, sockets)
+	for a := range out {
+		out[a] = make([]*H, sockets)
+		for b := range out[a] {
+			if a != b {
+				out[a][b] = hs.take(1, func(int) string { return fmt.Sprintf(format, a, b) })[0]
+			}
+		}
+	}
+	return out
+}
+
+// recorderNames holds the counter and gauge names of one topology shape, in
+// layout order.
+type recorderNames struct{ counters, gauges []string }
+
+var (
+	namesMu      sync.Mutex
+	namesByShape = map[[2]int]*recorderNames{} // {sockets, channels}
+)
+
+func newRecorder(reg *metrics.Registry, topo *topology.Topology) *recorder {
+	sockets, channels := topo.Sockets(), topo.ChannelsPerSocket()
+	namesMu.Lock()
+	names := namesByShape[[2]int{sockets, channels}]
+	if names == nil {
+		c, g := &handles[metrics.Counter]{naming: true}, &handles[metrics.Gauge]{naming: true}
+		layout(c, g, sockets, channels)
+		names = &recorderNames{c.names, g.names}
+		namesByShape[[2]int{sockets, channels}] = names
+	}
+	namesMu.Unlock()
+	cs, gs := reg.Handles(names.counters, names.gauges)
+	r := layout(&handles[metrics.Counter]{h: cs}, &handles[metrics.Gauge]{h: gs}, sockets, channels)
 	// A healthy machine never ticks the fault path; 1 (no derate) is the
 	// meaningful resting value for the min-scale gauge, not 0.
 	r.faultScaleMin.Set(1)
-	r.pinStreams = map[cpu.PinPolicy]*metrics.Counter{}
-	r.pinBytes = map[cpu.PinPolicy]*metrics.Counter{}
-	for _, pol := range []cpu.PinPolicy{cpu.PinCores, cpu.PinNUMA, cpu.PinNone} {
-		r.pinStreams[pol] = reg.Counter(fmt.Sprintf("cpu.pin.%s.streams", pol))
-		r.pinBytes[pol] = reg.Counter(fmt.Sprintf("cpu.pin.%s.bytes", pol))
-	}
-	for s := 0; s < r.sockets; s++ {
-		r.pmemReadApp = append(r.pmemReadApp, reg.Counter(fmt.Sprintf("pmem.s%d.read.app_bytes", s)))
-		r.pmemReadMedia = append(r.pmemReadMedia, reg.Counter(fmt.Sprintf("pmem.s%d.read.media_bytes", s)))
-		r.pmemWriteApp = append(r.pmemWriteApp, reg.Counter(fmt.Sprintf("pmem.s%d.write.app_bytes", s)))
-		r.pmemWriteMedia = append(r.pmemWriteMedia, reg.Counter(fmt.Sprintf("pmem.s%d.write.media_bytes", s)))
-		r.pmemUtilPeak = append(r.pmemUtilPeak, reg.Gauge(fmt.Sprintf("pmem.s%d.util.peak", s)))
-		r.dramRead = append(r.dramRead, reg.Counter(fmt.Sprintf("dram.s%d.read.bytes", s)))
-		r.dramWrite = append(r.dramWrite, reg.Counter(fmt.Sprintf("dram.s%d.write.bytes", s)))
-		r.dramUtilPeak = append(r.dramUtilPeak, reg.Gauge(fmt.Sprintf("dram.s%d.util.peak", s)))
-		r.dirWrites = append(r.dirWrites, reg.Counter(fmt.Sprintf("pmem.s%d.directory.write_media_bytes", s)))
+	return r
+}
 
-		var crm, cwm []*metrics.Counter
-		var cum []*metrics.Gauge
-		for c := 0; c < r.channels; c++ {
-			crm = append(crm, reg.Counter(fmt.Sprintf("pmem.s%d.ch%d.read_media_bytes", s, c)))
-			cwm = append(cwm, reg.Counter(fmt.Sprintf("pmem.s%d.ch%d.write_media_bytes", s, c)))
-			cum = append(cum, reg.Gauge(fmt.Sprintf("pmem.s%d.ch%d.util.mean", s, c)))
-		}
-		r.chReadMedia = append(r.chReadMedia, crm)
-		r.chWriteMedia = append(r.chWriteMedia, cwm)
-		r.chUtilMean = append(r.chUtilMean, cum)
+// layout builds a recorder whose handles come from c and g, in a fixed order.
+func layout(c *handles[metrics.Counter], g *handles[metrics.Gauge], sockets, channels int) *recorder {
+	r := &recorder{
+		sockets:  sockets,
+		channels: channels,
 
-		r.xpbLineWrites = append(r.xpbLineWrites, reg.Counter(fmt.Sprintf("xpdimm.s%d.xpbuffer.line_writes", s)))
-		r.xpbLineFlushes = append(r.xpbLineFlushes, reg.Counter(fmt.Sprintf("xpdimm.s%d.xpbuffer.line_flushes", s)))
-		r.xpbHitRate = append(r.xpbHitRate, reg.Gauge(fmt.Sprintf("xpdimm.s%d.xpbuffer.hit_rate", s)))
-		r.rbufApp = append(r.rbufApp, reg.Counter(fmt.Sprintf("xpdimm.s%d.readbuf.app_bytes", s)))
-		r.rbufMedia = append(r.rbufMedia, reg.Counter(fmt.Sprintf("xpdimm.s%d.readbuf.media_bytes", s)))
-		r.rbufHitRate = append(r.rbufHitRate, reg.Gauge(fmt.Sprintf("xpdimm.s%d.readbuf.hit_rate", s)))
-		r.writeAmpMean = append(r.writeAmpMean, reg.Gauge(fmt.Sprintf("xpdimm.s%d.write_amplification.mean", s)))
-		r.wearBytes = append(r.wearBytes, reg.Gauge(fmt.Sprintf("xpdimm.s%d.wear.media_bytes", s)))
+		regionAllocs: c.one("machine.region.allocs"),
+		regionFrees:  c.one("machine.region.frees"),
+		allocPMEM:    c.one("machine.region.alloc_bytes.pmem"),
+		allocDRAM:    c.one("machine.region.alloc_bytes.dram"),
+		allocSSD:     c.one("machine.region.alloc_bytes.ssd"),
+		prefaultB:    c.one("machine.prefault.bytes"),
+		prefaultSec:  c.one("machine.prefault.seconds"),
+		faultInB:     c.one("machine.fault_in.bytes"),
+		runCount:     c.one("machine.run.count"),
+		runSeconds:   c.one("machine.run.virtual_seconds"),
+
+		pmemReadApp:    c.perSocket("pmem.s%d.read.app_bytes", sockets),
+		pmemReadMedia:  c.perSocket("pmem.s%d.read.media_bytes", sockets),
+		pmemWriteApp:   c.perSocket("pmem.s%d.write.app_bytes", sockets),
+		pmemWriteMedia: c.perSocket("pmem.s%d.write.media_bytes", sockets),
+		pmemUtilPeak:   g.perSocket("pmem.s%d.util.peak", sockets),
+		chReadMedia:    c.grid("pmem.s%d.ch%d.read_media_bytes", sockets, channels),
+		chWriteMedia:   c.grid("pmem.s%d.ch%d.write_media_bytes", sockets, channels),
+		chUtilMean:     g.grid("pmem.s%d.ch%d.util.mean", sockets, channels),
+
+		dramRead:     c.perSocket("dram.s%d.read.bytes", sockets),
+		dramWrite:    c.perSocket("dram.s%d.write.bytes", sockets),
+		dramUtilPeak: g.perSocket("dram.s%d.util.peak", sockets),
+		dirWrites:    c.perSocket("pmem.s%d.directory.write_media_bytes", sockets),
+		ssdBytes:     c.one("ssd.bytes"),
+
+		upiData:     c.links("upi.s%dto%d.data_bytes", sockets),
+		upiReq:      c.links("upi.s%dto%d.req_bytes", sockets),
+		upiUtilPeak: g.links("upi.s%dto%d.util.peak", sockets),
+		upiCross:    c.one("upi.crossings"),
+		upiColdB:    c.one("upi.cold_bytes"),
+		upiWarmups:  c.one("upi.warmups"),
+		upiMarkWarm: c.one("upi.mark_warm"),
+		upiInval:    c.one("upi.invalidations"),
+
+		xpbLineWrites:  c.perSocket("xpdimm.s%d.xpbuffer.line_writes", sockets),
+		xpbLineFlushes: c.perSocket("xpdimm.s%d.xpbuffer.line_flushes", sockets),
+		xpbHitRate:     g.perSocket("xpdimm.s%d.xpbuffer.hit_rate", sockets),
+		rbufApp:        c.perSocket("xpdimm.s%d.readbuf.app_bytes", sockets),
+		rbufMedia:      c.perSocket("xpdimm.s%d.readbuf.media_bytes", sockets),
+		rbufHitRate:    g.perSocket("xpdimm.s%d.readbuf.hit_rate", sockets),
+		writeAmpMean:   g.perSocket("xpdimm.s%d.write_amplification.mean", sockets),
+		wearBytes:      g.perSocket("xpdimm.s%d.wear.media_bytes", sockets),
+
+		pfBytes:    c.one("cpu.prefetch.bytes"),
+		pfUseful:   c.one("cpu.prefetch.useful_bytes"),
+		pfWasted:   c.one("cpu.prefetch.wasted_media_bytes"),
+		pfEffMean:  g.one("cpu.prefetch.efficiency.mean"),
+		pinStreams: map[cpu.PinPolicy]*metrics.Counter{},
+		pinBytes:   map[cpu.PinPolicy]*metrics.Counter{},
+		htShared:   c.one("cpu.ht_shared.streams"),
+
+		faultActivations: c.one("fault.activations"),
+		faultRecoveries:  c.one("fault.recoveries"),
+		faultActive:      g.one("fault.active"),
+		faultThrottleSec: c.one("fault.throttle.socket_seconds"),
+		faultChanSec:     c.one("fault.channel_offline.socket_seconds"),
+		faultXPBSec:      c.one("fault.xpbuffer.socket_seconds"),
+		faultUPISec:      c.one("fault.upi_degraded.link_seconds"),
+		faultRewarm:      c.one("fault.rewarm.invalidations"),
+		faultScaleMin:    g.one("fault.media_scale.min"),
 	}
-	for a := 0; a < r.sockets; a++ {
-		var data, req []*metrics.Counter
-		var util []*metrics.Gauge
-		for b := 0; b < r.sockets; b++ {
-			if a == b {
-				data = append(data, nil)
-				req = append(req, nil)
-				util = append(util, nil)
-				continue
-			}
-			data = append(data, reg.Counter(fmt.Sprintf("upi.s%dto%d.data_bytes", a, b)))
-			req = append(req, reg.Counter(fmt.Sprintf("upi.s%dto%d.req_bytes", a, b)))
-			util = append(util, reg.Gauge(fmt.Sprintf("upi.s%dto%d.util.peak", a, b)))
-		}
-		r.upiData = append(r.upiData, data)
-		r.upiReq = append(r.upiReq, req)
-		r.upiUtilPeak = append(r.upiUtilPeak, util)
+	pins := []cpu.PinPolicy{cpu.PinCores, cpu.PinNUMA, cpu.PinNone}
+	streams := c.take(len(pins), func(i int) string { return "cpu.pin." + pins[i].String() + ".streams" })
+	bytes := c.take(len(pins), func(i int) string { return "cpu.pin." + pins[i].String() + ".bytes" })
+	for i, pol := range pins {
+		r.pinStreams[pol] = streams[i]
+		r.pinBytes[pol] = bytes[i]
 	}
 	return r
 }

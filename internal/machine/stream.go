@@ -142,13 +142,6 @@ func (m *Machine) run(ctx context.Context, streams []*Stream, maxTime float64, s
 	}
 	rm, eng := m.rm, m.eng
 	eng.StopOnCompletion = stopFirst
-	// Warm-started solves replay the previous equilibrium on exact input
-	// match — byte-identical by construction. Fault-plan runs stay on the
-	// cold path: their capacities ramp between solves, so snapshots would
-	// never hit and the pre-fault-engine solve sequence is preserved exactly.
-	warm := m.inj == nil && !DisableWarmStart
-	eng.WarmStart = warm
-	rm.solver.WarmStart = warm
 	eng.Add(rm.flows...)
 	if err := eng.RunContext(ctx, maxTime); err != nil {
 		return RunResult{}, fmt.Errorf("machine: run failed: %w", err)

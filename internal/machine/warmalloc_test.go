@@ -9,9 +9,10 @@ import (
 
 // TestWarmRunSteadyAllocs is the machine-level twin of the fluid package's
 // TestSolverSteadyZeroAllocs: once a machine has run a stream population,
-// re-running the identical population takes the warm-started solve path and
-// must stay within a handful of allocations per run (the result slice, the
-// peak-utilization map) — no per-solve garbage, no run-model rebuilds.
+// re-running the identical population reuses the run model, flows and solver
+// scratch and must stay within a handful of allocations per run (the result
+// slice, the peak-utilization map) — no per-solve garbage, no run-model
+// rebuilds.
 func TestWarmRunSteadyAllocs(t *testing.T) {
 	m := MustNew(DefaultConfig())
 	r, err := m.AllocPMEM("warmalloc", 0, 1<<30, DevDax)
@@ -38,6 +39,6 @@ func TestWarmRunSteadyAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n > maxAllocs {
-		t.Errorf("warm-started Run allocates %.0f/op, want <= %d", n, maxAllocs)
+		t.Errorf("warmed Run allocates %.0f/op, want <= %d", n, maxAllocs)
 	}
 }

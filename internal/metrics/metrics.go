@@ -137,6 +137,46 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// Handles resolves many counters and gauges under one lock acquisition,
+// returning handles parallel to the name lists. A name already registered
+// yields its existing handle, exactly as Counter and Gauge would, so
+// registries shared by several recorders keep one value per name; new
+// handles are carved from one allocation per kind. A nil registry yields
+// nil handles.
+func (r *Registry) Handles(counterNames, gaugeNames []string) ([]*Counter, []*Gauge) {
+	cs := make([]*Counter, len(counterNames))
+	gs := make([]*Gauge, len(gaugeNames))
+	if r == nil {
+		return cs, gs
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	resolve(&r.counters, counterNames, cs)
+	resolve(&r.gauges, gaugeNames, gs)
+	return cs, gs
+}
+
+// resolve fills out with the handles named by names, registering the missing
+// ones in *m from a single slab. An empty map is replaced by one sized for
+// names, so a fresh registry does not grow it step by step.
+func resolve[H any](m *map[string]*H, names []string, out []*H) {
+	if len(*m) == 0 {
+		*m = make(map[string]*H, len(names))
+	}
+	var slab []H
+	for i, name := range names {
+		h, ok := (*m)[name]
+		if !ok {
+			if len(slab) == 0 {
+				slab = make([]H, len(names)-i)
+			}
+			h, slab = &slab[0], slab[1:]
+			(*m)[name] = h
+		}
+		out[i] = h
+	}
+}
+
 // Sample is one named value in a snapshot.
 type Sample struct {
 	Name  string

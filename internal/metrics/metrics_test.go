@@ -58,6 +58,41 @@ func TestHandleIdentity(t *testing.T) {
 	}
 }
 
+// TestHandlesMatchCounterAndGauge pins the bulk call to the one-name calls:
+// a name registered earlier resolves to its existing handle, a name repeated
+// within one call resolves once, and new handles are the ones Counter and
+// Gauge return afterwards.
+func TestHandlesMatchCounterAndGauge(t *testing.T) {
+	r := New()
+	oldC, oldG := r.Counter("old.bytes"), r.Gauge("old.peak")
+	oldC.Add(7)
+	cs, gs := r.Handles([]string{"new.bytes", "old.bytes", "new.bytes"}, []string{"old.peak", "new.peak"})
+	if len(cs) != 3 || len(gs) != 2 {
+		t.Fatalf("got %d counters and %d gauges, want 3 and 2", len(cs), len(gs))
+	}
+	if cs[1] != oldC || gs[0] != oldG {
+		t.Fatal("Handles must return the handle already registered under a name")
+	}
+	if cs[1].Value() != 7 {
+		t.Fatalf("existing counter reads %g, want 7", cs[1].Value())
+	}
+	if cs[0] != cs[2] || cs[0] == cs[1] {
+		t.Fatal("a name repeated within one call must resolve to one handle")
+	}
+	if r.Counter("new.bytes") != cs[0] || r.Gauge("new.peak") != gs[1] {
+		t.Fatal("Counter/Gauge must return the handles Handles registered")
+	}
+	if got := len(r.Snapshot().Counters); got != 2 {
+		t.Fatalf("registry holds %d counters, want 2", got)
+	}
+
+	var nilReg *Registry
+	cs, gs = nilReg.Handles([]string{"a", "b"}, []string{"c"})
+	if len(cs) != 2 || len(gs) != 1 || cs[0] != nil || cs[1] != nil || gs[0] != nil {
+		t.Fatal("a nil registry must yield nil handles, one per name")
+	}
+}
+
 // TestConcurrentAdd exercises the CAS loop from many goroutines; run with
 // -race this is also the package's data-race check.
 func TestConcurrentAdd(t *testing.T) {

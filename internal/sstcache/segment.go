@@ -79,7 +79,8 @@ type segment struct {
 }
 
 // writeSegment renders records (already sorted by key) into path via a
-// temp file + fsync + rename, so the segment becomes visible atomically.
+// temp file + fsync + rename + directory fsync, so the segment becomes
+// visible atomically and the rename survives a crash.
 func writeSegment(path string, seq uint64, recs []record) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tmpSuffix+"*")
@@ -169,7 +170,24 @@ func writeSegment(path string, seq uint64, recs []record) error {
 		os.Remove(name)
 		return fmt.Errorf("sstcache: publish segment: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("sstcache: sync segment dir: %w", err)
+	}
 	return nil
+}
+
+// syncDir makes dir's entries durable: a rename or removal inside it is not
+// on disk until the directory itself is synced.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // openSegment validates path's header, footer, and both region checksums,

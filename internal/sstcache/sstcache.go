@@ -315,6 +315,9 @@ func (s *Store) compactLocked() error {
 		os.Remove(o.path)
 	}
 	s.cCompacts.Inc()
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("sstcache: sync dir after compaction: %w", err)
+	}
 	return nil
 }
 

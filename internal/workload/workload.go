@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -63,12 +64,16 @@ func buildOffset(m *machine.Machine, spec Spec, offset int) ([]*machine.Stream, 
 	perThread := float64(spec.TotalBytes) / float64(spec.Threads)
 	groupID := ""
 	if spec.Pattern == access.SeqGrouped {
-		groupID = fmt.Sprintf("%s/g%d", spec.Name, spec.Threads)
+		groupID = spec.Name + "/g" + strconv.Itoa(spec.Threads)
 	}
 	streams := make([]*machine.Stream, spec.Threads)
 	for i := 0; i < spec.Threads; i++ {
+		pad := "/t" // labels number threads with at least two digits
+		if i < 10 {
+			pad = "/t0"
+		}
 		streams[i] = &machine.Stream{
-			Label:      fmt.Sprintf("%s/t%02d", spec.Name, i),
+			Label:      spec.Name + pad + strconv.Itoa(i),
 			Placement:  placements[i],
 			Policy:     spec.Policy,
 			Region:     spec.Region,
