@@ -255,14 +255,7 @@ func run() int {
 		fmt.Printf("%.2f GB/s\n", res.Bandwidth/1e9)
 		if *verbose {
 			fmt.Println("peak resource utilization:")
-			names := make([]string, 0, len(res.PeakUtilization))
-			for n := range res.PeakUtilization {
-				names = append(names, n)
-			}
-			sort.Slice(names, func(i, j int) bool {
-				return res.PeakUtilization[names[i]] > res.PeakUtilization[names[j]]
-			})
-			for _, n := range names {
+			for _, n := range peakOrder(res.PeakUtilization) {
 				if u := res.PeakUtilization[n]; u > 0.01 {
 					fmt.Printf("  %-24s %5.1f%%\n", n, u*100)
 				}
@@ -323,6 +316,22 @@ func run() int {
 	}
 	emitMetrics(b.M.Metrics(), *showMetrics, *metricsJSON)
 	return 0
+}
+
+// peakOrder lists a peak-utilization report's resources, highest
+// utilization first and ties by name, so identical runs print identically.
+func peakOrder(peaks map[string]float64) []string {
+	names := make([]string, 0, len(peaks))
+	for n := range peaks {
+		names = append(names, n)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if ui, uj := peaks[names[i]], peaks[names[j]]; ui != uj {
+			return ui > uj
+		}
+		return names[i] < names[j]
+	})
+	return names
 }
 
 // requireIsolatedSweep rejects flag combinations that need every sweep

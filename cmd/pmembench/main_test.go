@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -33,5 +34,18 @@ func TestBenchGateFailureKeepsProfile(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Fatal("the CPU profile is empty: the gate failure skipped StopCPUProfile")
+	}
+}
+
+// TestPeakOrderBreaksTiesByName: the -verbose bottleneck report sorts by
+// utilization, and resources with the same peak print in name order rather
+// than map order.
+func TestPeakOrderBreaksTiesByName(t *testing.T) {
+	peaks := map[string]float64{"upi-1-0": 0.5, "pmem-media-0": 1, "thread-cores-c3": 0.5, "ssd": 0}
+	want := []string{"pmem-media-0", "thread-cores-c3", "upi-1-0", "ssd"}
+	for i := 0; i < 20; i++ {
+		if got := peakOrder(peaks); !slices.Equal(got, want) {
+			t.Fatalf("peakOrder = %v, want %v", got, want)
+		}
 	}
 }

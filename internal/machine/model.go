@@ -52,9 +52,11 @@ type runModel struct {
 
 	// uW is the per-socket PMEM media write-utilization estimate used by the
 	// mixed-workload read inflation (Section 5.1); uWDram likewise for DRAM.
-	// Both are resolved by fixed-point iteration inside Prepare.
+	// Both are resolved by fixed-point iteration inside Prepare; uWPrev holds
+	// the previous iteration's uW then uWDram, to detect a repeat.
 	uW     []float64
 	uWDram []float64
+	uWPrev []float64
 
 	// scratch per-flow bookkeeping, rebuilt each Prepare.
 	fctx []flowCtx
@@ -131,6 +133,7 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 		threadRes: make(map[threadKey]*fluid.Resource),
 		uW:        make([]float64, m.topo.Sockets()),
 		uWDram:    make([]float64, m.topo.Sockets()),
+		uWPrev:    make([]float64, 2*m.topo.Sockets()),
 	}
 	for s := 0; s < m.topo.Sockets(); s++ {
 		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: "pmem-media-" + strconv.Itoa(s), Capacity: 1})
@@ -331,16 +334,21 @@ func (rm *runModel) dimmParallelism(s *Stream, pop population, lay *interleave.L
 func (rm *runModel) Prepare(now float64, flows []*fluid.Flow) {
 	rm.now = now
 	pop := rm.gather()
-	// Fixed point on the mixed-workload write-utilization estimates: costs
-	// depend on uW, which depends on the solved rates. Three iterations
-	// converge to well under 1% for every workload in the test suite.
+	// Fixed point on the mixed-workload write-utilization estimates, capped
+	// at three iterations: costs depend on uW, which depends on the solved
+	// rates. Within one call costs are a pure function of the population and
+	// uW/uWDram, so once the estimates repeat bit for bit the costs in place
+	// are the ones every further iteration, and the final recompute, would
+	// rebuild.
+	rm.dirty = false
 	for iter := 0; iter < 3; iter++ {
 		rm.computeCosts(pop)
 		rm.solver.Solve(rm.flows, rm.Resources())
-		rm.updateWriteShares()
+		if !rm.updateWriteShares() {
+			return
+		}
 	}
 	rm.computeCosts(pop)
-	rm.dirty = false
 }
 
 // Steady implements fluid.SteadyModel: with no fault injector attached (whose
@@ -351,7 +359,11 @@ func (rm *runModel) Steady(now float64) bool {
 	return !rm.dirty && rm.m.inj == nil
 }
 
-func (rm *runModel) updateWriteShares() {
+// updateWriteShares re-estimates uW/uWDram from the solved rates and
+// reports whether any estimate changed (bit equality, no tolerance).
+func (rm *runModel) updateWriteShares() bool {
+	copy(rm.uWPrev, rm.uW)
+	copy(rm.uWPrev[len(rm.uW):], rm.uWDram)
 	for s := range rm.uW {
 		rm.uW[s] = 0
 		rm.uWDram[s] = 0
@@ -368,14 +380,19 @@ func (rm *runModel) updateWriteShares() {
 			rm.uWDram[st.Region.Socket] += f.Rate * ctx.writeUtilPerByte
 		}
 	}
+	changed := false
 	for s := range rm.uW {
 		rm.uW[s] = math.Min(rm.uW[s], 1)
 		rm.uWDram[s] = math.Min(rm.uWDram[s], 1)
+		changed = changed ||
+			math.Float64bits(rm.uW[s]) != math.Float64bits(rm.uWPrev[s]) ||
+			math.Float64bits(rm.uWDram[s]) != math.Float64bits(rm.uWPrev[len(rm.uW)+s])
 	}
+	return changed
 }
 
 func (rm *runModel) computeCosts(pop population) {
-	cfg := rm.m.cfg
+	cfg := &rm.m.cfg
 	topo := rm.m.topo
 	d := float64(topo.ChannelsPerSocket())
 
@@ -418,7 +435,7 @@ func (rm *runModel) computeCosts(pop population) {
 	for i, s := range rm.streams {
 		f := rm.flows[i]
 		if !rm.fctx[i].active {
-			f.Costs = nil
+			f.Costs = f.Costs[:0] // keep the backing array for the next run
 			continue
 		}
 		ts := rm.m.threadSocket(s)

@@ -28,7 +28,7 @@ func TestWarmedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const maxAllocs = 256 // measured 153; headroom for map growth jitter
+	const maxAllocs = 48 // measured 31; headroom for map growth jitter
 	if n := testing.AllocsPerRun(20, func() {
 		if _, err := e.Run(q); err != nil {
 			t.Fatal(err)

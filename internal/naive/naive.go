@@ -255,7 +255,7 @@ func dateSlot(key uint32) int {
 	if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
 		return -1
 	}
-	return int((y-1992)*372 + (m-1)*31 + (dd-1))
+	return int((y-1992)*372 + (m-1)*31 + (dd - 1))
 }
 
 const dateSlots = 7 * 372

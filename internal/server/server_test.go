@@ -213,10 +213,13 @@ func TestCoalescing(t *testing.T) {
 			bodies[i], errs[i] = string(b), err
 		}(i)
 	}
-	// All n handlers must be inside the server before the simulation is
-	// released, so none of them can be served from the cache.
-	waitFor(t, "all requests to arrive", func() bool {
-		return counter(t, s, "server_requests") == n
+	// All n handlers must have joined the one in-flight job before the
+	// simulation is released, so none of them can be served from the cache.
+	// server_requests counts a handler before it reaches the in-flight
+	// table, so under load it can read n while a follower is still on its
+	// way there.
+	waitFor(t, "all requests to join the in-flight job", func() bool {
+		return counter(t, s, "server_requests") == n && counter(t, s, "server_coalesced") == n-1
 	})
 	close(release)
 	wg.Wait()

@@ -85,10 +85,10 @@ type Store struct {
 	cCompacts    *metrics.Counter
 	cCorrupt     *metrics.Counter
 	cReadCorrupt *metrics.Counter
-	gSegments *metrics.Gauge
-	gSegBytes *metrics.Gauge
-	gMemBytes *metrics.Gauge
-	gEntries  *metrics.Gauge
+	gSegments    *metrics.Gauge
+	gSegBytes    *metrics.Gauge
+	gMemBytes    *metrics.Gauge
+	gEntries     *metrics.Gauge
 }
 
 // Open creates (if needed) dir and recovers every valid segment in it.
@@ -109,19 +109,19 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("sstcache: create dir: %w", err)
 	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		mem:       make(map[string]entry),
+		dir:          dir,
+		opts:         opts,
+		mem:          make(map[string]entry),
 		cHits:        reg.Counter("sstcache_hits"),
 		cMisses:      reg.Counter("sstcache_misses"),
 		cFlushes:     reg.Counter("sstcache_flushes"),
 		cCompacts:    reg.Counter("sstcache_compactions"),
 		cCorrupt:     reg.Counter("sstcache_corrupt_segments"),
 		cReadCorrupt: reg.Counter("sstcache_read_corruptions"),
-		gSegments: reg.Gauge("sstcache_segments"),
-		gSegBytes: reg.Gauge("sstcache_segment_bytes"),
-		gMemBytes: reg.Gauge("sstcache_memtable_bytes"),
-		gEntries:  reg.Gauge("sstcache_entries"),
+		gSegments:    reg.Gauge("sstcache_segments"),
+		gSegBytes:    reg.Gauge("sstcache_segment_bytes"),
+		gMemBytes:    reg.Gauge("sstcache_memtable_bytes"),
+		gEntries:     reg.Gauge("sstcache_entries"),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
