@@ -18,19 +18,20 @@ import (
 	"repro/internal/access"
 	"repro/internal/aware"
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/naive"
 	"repro/internal/ssb"
 )
 
 func main() {
-	engine := flag.String("engine", "aware", "aware (handcrafted, Section 6.2) or naive (Hyrise-like, Section 6.1)")
+	engineName := flag.String("engine", "aware", "aware (handcrafted, Section 6.2) or naive (Hyrise-like, Section 6.1)")
 	device := flag.String("device", "pmem", "pmem or dram")
 	sf := flag.Float64("sf", 0.1, "scale factor to generate and execute")
 	target := flag.Float64("target", 0, "scale the reported timings to this sf (0 = same as -sf)")
 	threads := flag.Int("threads", 0, "thread count (0 = engine default)")
 	sockets := flag.Int("sockets", 0, "sockets for the aware engine (0 = default 2)")
-	pin := flag.String("pin", "cores", "cores or numa (aware engine)")
+	pin := flag.String("pin", "cores", "cores, numa, or none (aware engine)")
 	numa := flag.Bool("numa-aware", true, "NUMA-aware placement (aware engine)")
 	query := flag.String("query", "", "run a single query (e.g. Q2.1); empty = all 13")
 	showResult := flag.Bool("rows", false, "print the query result rows")
@@ -39,15 +40,13 @@ func main() {
 	explain := flag.Bool("explain", false, "print the engine's execution plan instead of running")
 	flag.Parse()
 
-	dev := access.PMEM
-	if *device == "dram" {
-		dev = access.DRAM
-	} else if *device != "pmem" {
-		fatal(fmt.Errorf("unknown device %q", *device))
+	dev, err := parseDevice(*device)
+	if err != nil {
+		fatal(err)
 	}
-	pol := cpu.PinCores
-	if *pin == "numa" {
-		pol = cpu.PinNUMA
+	pol, err := parsePin(*pin)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Fprintf(os.Stderr, "generating SSB data at sf %g...\n", *sf)
@@ -81,9 +80,9 @@ func main() {
 		fatal(err)
 	}
 
-	var run func(q ssb.Query) (ssb.Result, float64, error)
+	var run engine.Runner
 	var plan func(q ssb.Query) string
-	switch *engine {
+	switch *engineName {
 	case "aware":
 		e, err := aware.New(m, data, aware.Options{
 			Device: dev, Threads: *threads, Sockets: *sockets,
@@ -92,24 +91,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		run = func(q ssb.Query) (ssb.Result, float64, error) {
-			r, err := e.Run(q)
-			return r.Result, r.Seconds, err
-		}
-		plan = e.Plan
+		run, plan = engine.RunnerOf(e.Run), e.Plan
 	case "naive":
-		th := *threads
-		e, err := naive.New(m, data, naive.Options{Device: dev, Threads: th, TargetSF: *target})
+		e, err := naive.New(m, data, naive.Options{Device: dev, Threads: *threads, TargetSF: *target})
 		if err != nil {
 			fatal(err)
 		}
-		run = func(q ssb.Query) (ssb.Result, float64, error) {
-			r, err := e.Run(q)
-			return r.Result, r.Seconds, err
-		}
-		plan = e.Plan
+		run, plan = engine.RunnerOf(e.Run), e.Plan
 	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
+		fatal(fmt.Errorf("unknown engine %q", *engineName))
 	}
 
 	queries := ssb.Queries()
@@ -151,6 +141,30 @@ func main() {
 	}
 	fmt.Fprintf(w, "TOTAL\t%.3f\t\n", total)
 	w.Flush()
+}
+
+// parseDevice maps the -device flag to a device class.
+func parseDevice(s string) (access.DeviceClass, error) {
+	switch s {
+	case "pmem":
+		return access.PMEM, nil
+	case "dram":
+		return access.DRAM, nil
+	}
+	return 0, fmt.Errorf("unknown device %q", s)
+}
+
+// parsePin maps the -pin flag to a pinning policy.
+func parsePin(s string) (cpu.PinPolicy, error) {
+	switch s {
+	case "cores":
+		return cpu.PinCores, nil
+	case "numa":
+		return cpu.PinNUMA, nil
+	case "none":
+		return cpu.PinNone, nil
+	}
+	return 0, fmt.Errorf("unknown pinning %q (want cores, numa, or none)", s)
 }
 
 func fatal(err error) {

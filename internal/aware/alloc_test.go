@@ -15,7 +15,7 @@ import (
 func TestWarmedRunAllocs(t *testing.T) {
 	d := ssb.MustGenerate(0.01)
 	m := machine.MustNew(machine.DefaultConfig())
-	e, err := New(m, d, Options{Threads: 8, Sockets: 2, TargetSF: 1, ExecWorkers: 1})
+	e, err := New(m, d, Options{Threads: 8, Sockets: 2, TargetSF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,15 +20,14 @@ package aware
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/access"
-	"repro/internal/arena"
 	"repro/internal/cpu"
 	"repro/internal/dash"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/ssb"
 	"repro/internal/topology"
@@ -56,11 +55,14 @@ const (
 
 // Options configure an engine instance; zero values get defaults.
 type Options struct {
-	Device    access.DeviceClass // PMEM (default) or DRAM
-	Threads   int                // default 36 (all physical cores)
-	Sockets   int                // 1 or 2 (default 2)
-	Pinning   cpu.PinPolicy      // default PinCores
-	NUMAAware bool               // near-only access (default true via New)
+	Device  access.DeviceClass // PMEM (default) or DRAM
+	Threads int                // default 36 (all physical cores)
+	Sockets int                // 1 or 2 (default 2)
+	Pinning cpu.PinPolicy      // default PinCores
+	// NUMAAware keeps every scan and probe on the thread's own socket. The
+	// zero value splits each stream 50/50 between the near and far socket,
+	// Table 1's "2-Socket" row.
+	NUMAAware bool
 	// TargetSF scales the traffic statistics to this scale factor (the
 	// paper's sf 100); 0 means the data's own scale factor.
 	TargetSF float64
@@ -68,10 +70,6 @@ type Options struct {
 	// intermediates stay in DRAM — the "traditional OLAP system" baseline
 	// of Section 6.2.
 	SSDScan bool
-	// ExecWorkers sets how many goroutines execute the fact pipeline on the
-	// host (0 = GOMAXPROCS). This is host-side execution parallelism; the
-	// *simulated* thread count is Threads.
-	ExecWorkers int
 	// HybridDims keeps the fact table on PMEM but places the dimension
 	// tables and Dash indexes in DRAM — the hybrid PMEM-DRAM design the
 	// paper names as future work (Sections 5.2, 9). Random-access-heavy
@@ -94,23 +92,10 @@ type Engine struct {
 
 	factRegion []*machine.Region
 	dimRegion  []*machine.Region
-	ssdRegion  *machine.Region
 	staging    []*machine.Region // concurrent-ingest target (RunWithIngest)
 
-	// lastFactRun is the machine result of the most recent fact phase; the
-	// ingest reporting reads the open-ended writers' moved bytes from it.
-	lastFactRun machine.RunResult
-
-	// Simulation scratch, recycled across queries (an engine's Runs are
-	// serialized). Stream descriptors come from a slab arena, and the label
-	// strings and thread placements — pure functions of the engine's fixed
-	// configuration — are memoized, so a warmed query run allocates no
-	// per-stream garbage.
-	streamArena *arena.Arena[machine.Stream]
-	streamBuf   []*machine.Stream
-	threadPlace [][]cpu.Placement
-	buildPlace  map[[2]int][]cpu.Placement
-	labels      map[labelKey]string
+	sim    *engine.Sim
+	labels engine.Memo[labelKey, string]
 }
 
 // labelKey identifies one memoized stream label.
@@ -121,48 +106,33 @@ type labelKey struct {
 	variant byte   // 0 base, 'n' "/near", 'f' "/far"
 }
 
-// labelFor memoizes the stream label for a key, so hot runs reuse one
-// string per (stage, socket, thread, split) instead of re-rendering it.
-func (e *Engine) labelFor(kind byte, name string, s, t int, variant byte) string {
-	k := labelKey{kind: kind, name: name, s: s, t: t, variant: variant}
-	if v, ok := e.labels[k]; ok {
-		return v
-	}
+// label renders the stream label for a key.
+func label(k labelKey) string {
 	var v string
-	switch kind {
+	switch k.kind {
 	case 's':
-		v = fmt.Sprintf("scan/s%d/t%02d", s, t)
+		v = fmt.Sprintf("scan/s%d/t%02d", k.s, k.t)
 	case 'p':
-		v = fmt.Sprintf("probe-%s/s%d/t%02d", name, s, t)
+		v = fmt.Sprintf("probe-%s/s%d/t%02d", k.name, k.s, k.t)
 	case 'b':
-		v = fmt.Sprintf("build-scan/%s/s%d", name, s)
+		v = fmt.Sprintf("build-scan/%s/s%d", k.name, k.s)
 	case 'i':
-		v = fmt.Sprintf("build-index/%s/s%d", name, s)
+		v = fmt.Sprintf("build-index/%s/s%d", k.name, k.s)
 	}
-	switch variant {
+	switch k.variant {
 	case 'n':
 		v += "/near"
 	case 'f':
 		v += "/far"
 	}
-	e.labels[k] = v
 	return v
 }
 
 // QueryRun is one executed query.
-type QueryRun struct {
-	ID      string
-	Result  ssb.Result
-	Seconds float64
-	Phases  []Phase
-	Stats   Stats
-}
+type QueryRun = engine.QueryRun[Stats]
 
 // Phase is one timed stage of a query.
-type Phase struct {
-	Name    string
-	Seconds float64
-}
+type Phase = engine.Phase
 
 // Stats summarizes the traffic behind a run (already scaled to TargetSF).
 type Stats struct {
@@ -192,107 +162,54 @@ func New(m *machine.Machine, data *ssb.Data, opt Options) (*Engine, error) {
 	if opt.TargetSF == 0 {
 		opt.TargetSF = data.SF
 	}
-	e := &Engine{m: m, data: data, opt: opt,
-		streamArena: arena.New[machine.Stream](64),
-		buildPlace:  map[[2]int][]cpu.Placement{},
-		labels:      map[labelKey]string{},
-	}
-	e.factScale = float64(rowsAt(opt.TargetSF)) / float64(len(data.Lineorder))
-	e.dimScale = map[string]float64{
-		"customer": scaleOf(len(data.Customer), custAt(opt.TargetSF)),
-		"supplier": scaleOf(len(data.Supplier), suppAt(opt.TargetSF)),
-		"part":     scaleOf(len(data.Part), partAt(opt.TargetSF)),
+	e := &Engine{m: m, data: data, opt: opt, sim: engine.NewSim(m),
+		labels:    engine.NewMemo(label),
+		factScale: engine.Scale(data, "lineorder", opt.TargetSF),
+		dimScale:  engine.DimScales(data, opt.TargetSF),
 	}
 
 	// Allocate the simulated regions at target scale.
-	factBytesTarget := rowsAt(opt.TargetSF) * ssb.TupleBytes
+	factBytesTarget := int64(ssb.RowsAt("lineorder", opt.TargetSF)) * ssb.TupleBytes
 	perSocket := factBytesTarget / int64(opt.Sockets)
 	dimBytes := e.dimFootprint()
+	dimDevice := opt.Device
+	if opt.SSDScan || opt.HybridDims {
+		dimDevice = access.DRAM
+	}
+	var ssd *machine.Region
+	if opt.SSDScan {
+		var err error
+		if ssd, err = m.AllocSSD("ssb/fact", factBytesTarget); err != nil {
+			return nil, err
+		}
+	}
 	for s := 0; s < opt.Sockets; s++ {
 		sock := topology.SocketID(s)
-		var fr, dr *machine.Region
-		var err error
-		if opt.SSDScan {
-			if s == 0 {
-				e.ssdRegion, err = m.AllocSSD("ssb/fact", factBytesTarget)
-				if err != nil {
-					return nil, err
-				}
-			}
-			fr = e.ssdRegion
-			dr, err = m.AllocDRAM(fmt.Sprintf("ssb/dims-%d", s), sock, dimBytes)
-		} else if opt.Device == access.DRAM {
-			fr, err = m.AllocDRAM(fmt.Sprintf("ssb/fact-%d", s), sock, perSocket)
-			if err != nil {
+		fr := ssd
+		if fr == nil {
+			var err error
+			if fr, err = engine.AllocTable(m, fmt.Sprintf("ssb/fact-%d", s), sock, perSocket, opt.Device); err != nil {
 				return nil, err
-			}
-			dr, err = m.AllocDRAM(fmt.Sprintf("ssb/dims-%d", s), sock, dimBytes)
-		} else if opt.HybridDims {
-			fr, err = m.AllocPMEM(fmt.Sprintf("ssb/fact-%d", s), sock, perSocket, machine.FsDax)
-			if err != nil {
-				return nil, err
-			}
-			fr.PreFault()
-			dr, err = m.AllocDRAM(fmt.Sprintf("ssb/dims-%d", s), sock, dimBytes)
-		} else {
-			// The paper's SSB runs on fsdax ("Dash requires a filesystem
-			// interface"); data is written during load, so pages are faulted.
-			fr, err = m.AllocPMEM(fmt.Sprintf("ssb/fact-%d", s), sock, perSocket, machine.FsDax)
-			if err != nil {
-				return nil, err
-			}
-			fr.PreFault()
-			dr, err = m.AllocPMEM(fmt.Sprintf("ssb/dims-%d", s), sock, dimBytes, machine.FsDax)
-			if err == nil {
-				dr.PreFault()
 			}
 		}
+		dr, err := engine.AllocTable(m, fmt.Sprintf("ssb/dims-%d", s), sock, dimBytes, dimDevice)
 		if err != nil {
 			return nil, err
 		}
-		// Steady-state query service: coherency mappings established and the
-		// read-only tables' directory entries settled in shared state.
-		fr.CoherenceStable = true
-		dr.CoherenceStable = true
-		for o := 0; o < m.Topology().Sockets(); o++ {
-			fr.WarmFor(topology.SocketID(o))
-			dr.WarmFor(topology.SocketID(o))
-		}
+		engine.Settle(m, fr, dr)
 		e.factRegion = append(e.factRegion, fr)
 		e.dimRegion = append(e.dimRegion, dr)
 	}
 	return e, nil
 }
 
-func scaleOf(have, want int) float64 {
-	if have == 0 {
-		return 1
-	}
-	return float64(want) / float64(have)
-}
-
-func rowsAt(sf float64) int64 { return int64(6_000_000 * sf) }
-func custAt(sf float64) int   { return int(30_000 * sf) }
-func suppAt(sf float64) int   { return int(2_000 * sf) }
-func partAt(sf float64) int {
-	if sf >= 1 {
-		mult := 1
-		for s := 2.0; s <= sf; s *= 2 {
-			mult++
-		}
-		return 200_000 * mult
-	}
-	return int(200_000 * sf)
-}
-
 func (e *Engine) dimFootprint() int64 {
 	// Replicated dimensions plus generous index headroom, at target scale.
-	rows := int64(custAt(e.opt.TargetSF)) + int64(suppAt(e.opt.TargetSF)) + int64(partAt(e.opt.TargetSF))
-	b := rows * 256 // ~200 B row + index share
-	if b < 1<<20 {
-		b = 1 << 20
+	var rows int64
+	for _, table := range []string{"customer", "supplier", "part"} {
+		rows += int64(ssb.RowsAt(table, e.opt.TargetSF))
 	}
-	return b
+	return max(rows*256, 1<<20) // ~200 B row + index share
 }
 
 // EncodedFact returns the fact table as the engine stores it: 128 B-encoded
@@ -401,32 +318,37 @@ type factExec struct {
 // factExecFor builds (or recalls) the executed fact pipeline for q.
 func (e *Engine) factExecFor(q ssb.Query) *factExec {
 	return e.data.Memo("aware/exec/"+q.ID, func() any {
-		indexes := e.buildIndexes(q)
-		probeOrder := make([]*dimIndex, len(indexes))
-		copy(probeOrder, indexes)
-		sort.Slice(probeOrder, func(i, j int) bool {
-			return probeOrder[i].selectivity < probeOrder[j].selectivity
-		})
-		// Batch the probes: dimension keys are dense, so one Get per domain
-		// key materializes each index's answers (value, hit, bucket reads)
-		// into flat tables the row loop indexes instead of re-probing. The
-		// per-key read cost is a pure function of the key on a frozen index,
-		// so crediting the replayed reads back keeps the counters — and the
-		// traffic model reading them — byte-identical to per-row probing.
-		tables := make([]*probeTable, len(probeOrder))
-		for i, ix := range probeOrder {
-			tables[i] = buildProbeTable(e.data, ix)
-		}
-		for _, ix := range probeOrder {
-			ix.ix.ResetStats()
-		}
-		result := ssb.Result{}
-		qualifying := e.executeFact(q, tables, result)
-		for _, ix := range indexes {
-			ix.factStats = ix.ix.Stats()
-		}
-		return &factExec{indexes: indexes, probeOrder: probeOrder, qualifying: qualifying, result: result}
+		return e.execute(q, runtime.GOMAXPROCS(0))
 	}).(*factExec)
+}
+
+// execute runs q's fact pipeline on the given number of host goroutines.
+func (e *Engine) execute(q ssb.Query, workers int) *factExec {
+	indexes := e.buildIndexes(q)
+	probeOrder := make([]*dimIndex, len(indexes))
+	copy(probeOrder, indexes)
+	sort.Slice(probeOrder, func(i, j int) bool {
+		return probeOrder[i].selectivity < probeOrder[j].selectivity
+	})
+	// Batch the probes: dimension keys are dense, so one Get per domain
+	// key materializes each index's answers (value, hit, bucket reads)
+	// into flat tables the row loop indexes instead of re-probing. The
+	// per-key read cost is a pure function of the key on a frozen index,
+	// so crediting the replayed reads back keeps the counters — and the
+	// traffic model reading them — byte-identical to per-row probing.
+	tables := make([]*probeTable, len(probeOrder))
+	for i, ix := range probeOrder {
+		tables[i] = buildProbeTable(e.data, ix)
+	}
+	for _, ix := range probeOrder {
+		ix.ix.ResetStats()
+	}
+	result := ssb.Result{}
+	qualifying := e.executeFact(q, tables, result, workers)
+	for _, ix := range indexes {
+		ix.factStats = ix.ix.Stats()
+	}
+	return &factExec{indexes: indexes, probeOrder: probeOrder, qualifying: qualifying, result: result}
 }
 
 // probeTable is one dimension index's probe results materialized over its
@@ -443,15 +365,7 @@ type probeTable struct {
 // answers and stats deltas. The Gets it issues are discounted by the
 // ResetStats that follows table construction in factExecFor.
 func buildProbeTable(d *ssb.Data, ix *dimIndex) *probeTable {
-	var n int
-	switch ix.name {
-	case "customer":
-		n = len(d.Customer)
-	case "supplier":
-		n = len(d.Supplier)
-	case "part":
-		n = len(d.Part)
-	}
+	n := d.Rows(ix.name)
 	t := &probeTable{
 		ix:    ix,
 		ord:   make([]uint32, n+1),
@@ -493,38 +407,26 @@ func (e *Engine) Run(q ssb.Query) (QueryRun, error) {
 // ingested" scenario).
 func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error) {
 	exec := e.factExecFor(q)
-	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(exec.result)),
-		Phases: make([]Phase, 0, 3)}
+	run := engine.NewRun[Stats](q.ID, exec.result, 3)
 
 	// --- Build phase: Dash indexes over the filtered dimensions. ---
 	buildSec, err := e.simulateBuild(exec.indexes)
 	if err != nil {
 		return run, err
 	}
-	run.Phases = append(run.Phases, Phase{"build", buildSec})
+	run.AddPhase("build", buildSec)
 
 	// --- Fact phase: scan, probe, aggregate (really executed, shared
-	// across engines via the data memo). Copy the result: the memoized map
-	// is shared and callers may hold QueryRun.Result past this run.
-	for k, v := range exec.result {
-		run.Result[k] = v
-	}
-	qualifying := exec.qualifying
-
-	factSec, stats, err := e.simulateFactPhase(q, exec.probeOrder, qualifying, len(run.Result), extra)
+	// across engines via the data memo).
+	factSec, stats, err := e.simulateFactPhase(q, exec.probeOrder, exec.qualifying, len(run.Result), extra)
 	if err != nil {
 		return run, err
 	}
-	run.Phases = append(run.Phases, Phase{"scan+probe+aggregate", factSec})
+	run.AddPhase("scan+probe+aggregate", factSec)
 	run.Stats = stats
 
 	// --- Merge phase: combine the per-thread partial aggregates. ---
-	mergeSec := e.simulateMerge(len(run.Result))
-	run.Phases = append(run.Phases, Phase{"merge", mergeSec})
-
-	for _, ph := range run.Phases {
-		run.Seconds += ph.Seconds
-	}
+	run.AddPhase("merge", e.simulateMerge(len(run.Result)))
 	return run, nil
 }
 
@@ -536,12 +438,8 @@ func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error)
 // worker tallies the bucket reads its probes replay and the totals are
 // credited back to the indexes' atomic counters after the merge. Returns
 // the number of qualifying rows.
-func (e *Engine) executeFact(q ssb.Query, tables []*probeTable, out ssb.Result) int64 {
+func (e *Engine) executeFact(q ssb.Query, tables []*probeTable, out ssb.Result, workers int) int64 {
 	data := e.data
-	workers := e.opt.ExecWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(data.Lineorder) {
 		workers = 1
 	}
@@ -644,109 +542,32 @@ func (e *Engine) executeFact(q ssb.Query, tables []*probeTable, out ssb.Result) 
 // buildIndexes constructs the filtered Dash indexes the query needs.
 func (e *Engine) buildIndexes(q ssb.Query) []*dimIndex {
 	var out []*dimIndex
-	if q.NeedsCust {
-		ix := dash.MustNew(4)
+	for _, dm := range engine.JoinedDims(e.data, q) {
+		depth := uint8(4)
+		if dm.Name == "supplier" {
+			depth = 2 // the smallest dimension
+		}
+		ix := dash.MustNew(depth)
 		n := 0
-		for i := range e.data.Customer {
-			c := &e.data.Customer[i]
-			if q.CustFilter == nil || q.CustFilter(c) {
-				if err := ix.Insert(uint64(c.CustKey), uint64(i)); err != nil {
+		for i := 0; i < dm.Rows; i++ {
+			if dm.Keep(i) {
+				if err := ix.Insert(uint64(dm.Key(i)), uint64(i)); err != nil {
 					panic(err) // arena-backed inserts only fail on depth overflow
 				}
 				n++
 			}
 		}
-		out = append(out, &dimIndex{name: "customer", ix: ix, entries: n,
-			buildStats: ix.Stats(), selectivity: float64(n) / float64(len(e.data.Customer))})
-	}
-	if q.NeedsSupp {
-		ix := dash.MustNew(2)
-		n := 0
-		for i := range e.data.Supplier {
-			s := &e.data.Supplier[i]
-			if q.SuppFilter == nil || q.SuppFilter(s) {
-				if err := ix.Insert(uint64(s.SuppKey), uint64(i)); err != nil {
-					panic(err)
-				}
-				n++
-			}
-		}
-		out = append(out, &dimIndex{name: "supplier", ix: ix, entries: n,
-			buildStats: ix.Stats(), selectivity: float64(n) / float64(len(e.data.Supplier))})
-	}
-	if q.NeedsPart {
-		ix := dash.MustNew(4)
-		n := 0
-		for i := range e.data.Part {
-			p := &e.data.Part[i]
-			if q.PartFilter == nil || q.PartFilter(p) {
-				if err := ix.Insert(uint64(p.PartKey), uint64(i)); err != nil {
-					panic(err)
-				}
-				n++
-			}
-		}
-		out = append(out, &dimIndex{name: "part", ix: ix, entries: n,
-			buildStats: ix.Stats(), selectivity: float64(n) / float64(len(e.data.Part))})
+		out = append(out, &dimIndex{name: dm.Name, ix: ix, entries: n,
+			buildStats: ix.Stats(), selectivity: float64(n) / float64(dm.Rows)})
 	}
 	return out
 }
 
-// dimScaleOf maps an index name to its target-scale multiplier.
-func (e *Engine) dimScaleOf(name string) float64 { return e.dimScale[name] }
-
-// cacheMissRate estimates how much probe traffic reaches the media given the
-// index working set vs the LLC.
-func cacheMissRate(indexBytes float64) float64 {
-	hit := MaxCacheHit * math.Min(1, float64(LLCBytes)/math.Max(indexBytes, 1))
-	if hit < 0 {
-		hit = 0
+// threadsOn is how many of the engine's threads run on active socket s.
+func (e *Engine) threadsOn(s int) int {
+	n := e.opt.Threads / e.opt.Sockets
+	if s < e.opt.Threads%e.opt.Sockets {
+		n++
 	}
-	return 1 - hit
-}
-
-func (e *Engine) activeSockets() int { return e.opt.Sockets }
-
-// threadsPlacement assigns the engine's threads across the active sockets.
-// The assignment depends only on the engine's fixed configuration, so it is
-// computed once and memoized.
-func (e *Engine) threadsPlacement() [][]cpu.Placement {
-	if e.threadPlace != nil {
-		return e.threadPlace
-	}
-	per := e.opt.Threads / e.activeSockets()
-	rem := e.opt.Threads % e.activeSockets()
-	var out [][]cpu.Placement
-	for s := 0; s < e.activeSockets(); s++ {
-		n := per
-		if s < rem {
-			n++
-		}
-		if n == 0 {
-			out = append(out, nil)
-			continue
-		}
-		out = append(out, cpu.AssignThreads(e.m.Topology(), e.pinPolicy(), topology.SocketID(s), n))
-	}
-	e.threadPlace = out
-	return out
-}
-
-// buildPlacementsFor memoizes the build-phase thread assignment for a
-// (socket, thread count) pair.
-func (e *Engine) buildPlacementsFor(sock topology.SocketID, n int) []cpu.Placement {
-	k := [2]int{int(sock), n}
-	if p, ok := e.buildPlace[k]; ok {
-		return p
-	}
-	p := cpu.AssignThreads(e.m.Topology(), e.pinPolicy(), sock, n)
-	e.buildPlace[k] = p
-	return p
-}
-
-func (e *Engine) pinPolicy() cpu.PinPolicy {
-	if e.opt.Pinning == cpu.PinNone {
-		return cpu.PinNone
-	}
-	return e.opt.Pinning
+	return n
 }

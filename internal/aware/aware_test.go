@@ -245,3 +245,21 @@ func TestSimulateLoad(t *testing.T) {
 			repBad.WriteBandwidth/1e9, rep.WriteBandwidth/1e9)
 	}
 }
+
+// TestOwnScaleIsIdentity: with the default TargetSF (the data's own sf) no
+// table is rescaled, even below sf 0.02 where the generator's minimum
+// dimension sizes apply.
+func TestOwnScaleIsIdentity(t *testing.T) {
+	e, err := New(machine.MustNew(machine.DefaultConfig()), ssb.MustGenerate(0.01), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.factScale != 1 {
+		t.Errorf("fact scale = %g, want 1", e.factScale)
+	}
+	for _, dim := range []string{"customer", "supplier", "part"} {
+		if got := e.dimScale[dim]; got != 1 {
+			t.Errorf("%s scale = %g, want 1", dim, got)
+		}
+	}
+}

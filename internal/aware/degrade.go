@@ -27,8 +27,8 @@ func (e *Engine) SetPlacementShares(shares []float64) error {
 		e.shares = nil
 		return nil
 	}
-	if len(shares) != e.activeSockets() {
-		return fmt.Errorf("aware: %d shares for %d active sockets", len(shares), e.activeSockets())
+	if len(shares) != e.opt.Sockets {
+		return fmt.Errorf("aware: %d shares for %d active sockets", len(shares), e.opt.Sockets)
 	}
 	sum := 0.0
 	for _, v := range shares {
@@ -56,7 +56,7 @@ func (e *Engine) SetPlacementShares(shares []float64) error {
 // slowest partition).
 func (e *Engine) ReplanForFaults() (DegradeReport, error) {
 	all := e.m.FaultSocketScales()
-	rep := DegradeReport{SocketScale: all[:e.activeSockets()]}
+	rep := DegradeReport{SocketScale: all[:e.opt.Sockets]}
 	sum := 0.0
 	for _, v := range rep.SocketScale {
 		sum += v
@@ -87,11 +87,11 @@ func (e *Engine) ReplanForFaults() (DegradeReport, error) {
 // shareOf returns the fraction of the fact scan placed on active socket s.
 func (e *Engine) shareOf(s int) float64 {
 	if e.shares == nil {
-		return 1 / float64(e.activeSockets())
+		return 1 / float64(e.opt.Sockets)
 	}
 	return e.shares[s]
 }
 
 // LastFactBandwidth returns the aggregate simulated bandwidth of the most
 // recent fact phase — the "achieved" side of an achieved-vs-healthy report.
-func (e *Engine) LastFactBandwidth() float64 { return e.lastFactRun.Bandwidth }
+func (e *Engine) LastFactBandwidth() float64 { return e.sim.Last.Bandwidth }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/ssb"
 	"repro/internal/topology"
@@ -38,14 +39,14 @@ func (e *Engine) RunWithIngest(q ssb.Query, ingestThreadsPerSocket int) (QueryRu
 		if err := e.ensureStaging(); err != nil {
 			return QueryRun{}, rep, err
 		}
-		for s := 0; s < e.activeSockets(); s++ {
-			placements := cpu.AssignThreadsOffset(e.m.Topology(), e.pinPolicy(),
-				e.factRegion[s].Socket, ingestThreadsPerSocket, e.opt.Threads/e.activeSockets())
+		for s := 0; s < e.opt.Sockets; s++ {
+			placements := cpu.AssignThreadsOffset(e.m.Topology(), e.opt.Pinning,
+				e.factRegion[s].Socket, ingestThreadsPerSocket, e.opt.Threads/e.opt.Sockets)
 			for t := 0; t < ingestThreadsPerSocket; t++ {
 				extra = append(extra, &machine.Stream{
 					Label:      fmt.Sprintf("ingest/s%d/t%02d", s, t),
 					Placement:  placements[t],
-					Policy:     e.pinPolicy(),
+					Policy:     e.opt.Pinning,
 					Region:     e.staging[s],
 					Dir:        access.Write,
 					Pattern:    access.SeqIndividual,
@@ -62,13 +63,13 @@ func (e *Engine) RunWithIngest(q ssb.Query, ingestThreadsPerSocket int) (QueryRu
 	// The open-ended ingest streams accumulated bytes for the fact phase's
 	// duration; read them back from the machine result.
 	if len(extra) > 0 {
-		for _, sr := range e.lastFactRun.Streams {
+		for _, sr := range e.sim.Last.Streams {
 			if strings.HasPrefix(sr.Label, "ingest/") {
 				rep.BytesIngested += sr.Bytes
 			}
 		}
-		if e.lastFactRun.Elapsed > 0 {
-			rep.Bandwidth = rep.BytesIngested / e.lastFactRun.Elapsed
+		if e.sim.Last.Elapsed > 0 {
+			rep.Bandwidth = rep.BytesIngested / e.sim.Last.Elapsed
 		}
 	}
 	return run, rep, nil
@@ -78,18 +79,14 @@ func (e *Engine) ensureStaging() error {
 	if e.staging != nil {
 		return nil
 	}
-	e.staging = make([]*machine.Region, e.activeSockets())
-	for s := 0; s < e.activeSockets(); s++ {
+	e.staging = make([]*machine.Region, e.opt.Sockets)
+	size := int64(64) << 30
+	if e.opt.Device == access.DRAM {
+		size = 8 << 30
+	}
+	for s := 0; s < e.opt.Sockets; s++ {
 		var err error
-		size := int64(64) << 30
-		if e.opt.Device == access.DRAM {
-			e.staging[s], err = e.m.AllocDRAM(fmt.Sprintf("ssb/staging-%d", s), topology.SocketID(s), 8<<30)
-		} else {
-			e.staging[s], err = e.m.AllocPMEM(fmt.Sprintf("ssb/staging-%d", s), topology.SocketID(s), size, machine.FsDax)
-			if err == nil {
-				e.staging[s].PreFault()
-			}
-		}
+		e.staging[s], err = engine.AllocTable(e.m, fmt.Sprintf("ssb/staging-%d", s), topology.SocketID(s), size, e.opt.Device)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/access"
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/ssb"
 )
@@ -33,18 +32,18 @@ func (e *Engine) SimulateLoad(writeThreadsPerSocket int) (LoadReport, error) {
 	}
 	rep := LoadReport{
 		FactBytes: int64(float64(len(e.data.Lineorder)) * e.factScale * ssb.TupleBytes),
-		DimBytes:  e.dimFootprint() * int64(e.activeSockets()),
+		DimBytes:  e.dimFootprint() * int64(e.opt.Sockets),
 	}
 
 	var streams []*machine.Stream
-	for s := 0; s < e.activeSockets(); s++ {
-		placements := cpu.AssignThreads(e.m.Topology(), e.pinPolicy(), e.factRegion[s].Socket, writeThreadsPerSocket)
-		perThread := float64(rep.FactBytes) / float64(e.activeSockets()) / float64(writeThreadsPerSocket)
+	for s := 0; s < e.opt.Sockets; s++ {
+		placements := e.sim.Placements(e.opt.Pinning, e.factRegion[s].Socket, writeThreadsPerSocket)
+		perThread := float64(rep.FactBytes) / float64(e.opt.Sockets) / float64(writeThreadsPerSocket)
 		for t := 0; t < writeThreadsPerSocket; t++ {
 			streams = append(streams, &machine.Stream{
 				Label:      fmt.Sprintf("load/fact/s%d/t%02d", s, t),
 				Placement:  placements[t],
-				Policy:     e.pinPolicy(),
+				Policy:     e.opt.Pinning,
 				Region:     e.factRegion[s],
 				Dir:        access.Write,
 				Pattern:    access.SeqIndividual,
@@ -57,7 +56,7 @@ func (e *Engine) SimulateLoad(writeThreadsPerSocket int) (LoadReport, error) {
 		streams = append(streams, &machine.Stream{
 			Label:      fmt.Sprintf("load/dims/s%d", s),
 			Placement:  placements[0],
-			Policy:     e.pinPolicy(),
+			Policy:     e.opt.Pinning,
 			Region:     e.dimRegion[s],
 			Dir:        access.Write,
 			Pattern:    access.SeqIndividual,
@@ -77,7 +76,7 @@ func (e *Engine) SimulateLoad(writeThreadsPerSocket int) (LoadReport, error) {
 	// (0.5 ms per 2 MiB page, Section 2.3 — the paper's "pre-faulting 1 GB
 	// takes at least 0.25 seconds" is the single-thread figure).
 	if !e.opt.SSDScan && e.opt.Device == access.PMEM {
-		loaders := float64(writeThreadsPerSocket * e.activeSockets())
+		loaders := float64(writeThreadsPerSocket * e.opt.Sockets)
 		rep.PreFaultSec = float64(rep.FactBytes+rep.DimBytes) * e.m.Config().PreFaultSecPerByte / loaders
 	}
 	rep.Seconds += rep.PreFaultSec

@@ -3,53 +3,34 @@ package aware
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/ssb"
 )
 
-// TestParallelExecutionDeterministic: the worker count must not change any
-// query's result (integer aggregation commutes; partials merge exactly).
-// Each engine gets its own generated data set: executions are memoized per
-// data set, and sharing one would let the second engine reuse the first's
-// answers instead of proving its own worker split agrees.
+// TestParallelExecutionDeterministic: the host worker count must not change
+// any query's execution (integer aggregation commutes; partials merge
+// exactly). It drives the unmemoized execution directly, so both worker
+// counts really run.
 func TestParallelExecutionDeterministic(t *testing.T) {
-	base := Options{Threads: 8, Sockets: 1, Pinning: cpu.PinCores, NUMAAware: true}
-	one := base
-	one.ExecWorkers = 1
-	many := base
-	many.ExecWorkers = 7 // deliberately not dividing the row count evenly
-
-	mk := func(opt Options) *Engine {
-		t.Helper()
-		m := machine.MustNew(machine.DefaultConfig())
-		e, err := New(m, ssb.MustGenerate(0.05), opt)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return e
+	m := machine.MustNew(machine.DefaultConfig())
+	e, err := New(m, ssb.MustGenerate(0.05), Options{Threads: 8, Sockets: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	e1 := mk(one)
-	e7 := mk(many)
 	for _, q := range ssb.Queries() {
-		r1, err := e1.Run(q)
-		if err != nil {
-			t.Fatalf("%s workers=1: %v", q.ID, err)
-		}
-		r7, err := e7.Run(q)
-		if err != nil {
-			t.Fatalf("%s workers=7: %v", q.ID, err)
-		}
-		if !r1.Result.Equal(r7.Result) {
+		one := e.execute(q, 1)
+		seven := e.execute(q, 7) // deliberately not dividing the row count evenly
+		if !one.result.Equal(seven.result) {
 			t.Errorf("%s: results differ between 1 and 7 workers", q.ID)
 		}
-		if r1.Stats.QualifyingRows != r7.Stats.QualifyingRows {
-			t.Errorf("%s: qualifying rows differ: %d vs %d",
-				q.ID, r1.Stats.QualifyingRows, r7.Stats.QualifyingRows)
+		if one.qualifying != seven.qualifying {
+			t.Errorf("%s: qualifying rows differ: %d vs %d", q.ID, one.qualifying, seven.qualifying)
 		}
-		// Probe traffic (from the shared atomic counters) must also agree.
-		if r1.Stats.Probes != r7.Stats.Probes {
-			t.Errorf("%s: probes differ: %d vs %d", q.ID, r1.Stats.Probes, r7.Stats.Probes)
+		// The replayed bucket reads drive the probe traffic model.
+		for i := range one.indexes {
+			if a, b := one.indexes[i].factStats, seven.indexes[i].factStats; a != b {
+				t.Errorf("%s %s: fact-phase index stats differ: %+v vs %+v", q.ID, one.indexes[i].name, a, b)
+			}
 		}
 	}
 }

@@ -16,8 +16,8 @@ func (e *Engine) Plan(q ssb.Query) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (flight %d)\n", q.ID, q.Flight)
 	fmt.Fprintf(&b, "fact scan: %d rows x %d B tuples, %d partition(s), %d threads, %s pinning, device %s\n",
-		len(e.data.Lineorder), ssb.TupleBytes, e.activeSockets(), e.opt.Threads,
-		e.pinPolicy(), e.factRegion[0].Class)
+		len(e.data.Lineorder), ssb.TupleBytes, e.opt.Sockets, e.opt.Threads,
+		e.opt.Pinning, e.factRegion[0].Class)
 	if q.LOFilter != nil {
 		b.WriteString("  pushed down: fact-local predicates (quantity/discount)\n")
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/aware"
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/naive"
 	"repro/internal/ssb"
@@ -41,59 +42,42 @@ func dataAt(sf float64) *ssb.Data {
 }
 
 func fig14a(cfg Config) ([]Table, error) {
-	data := dataAt(cfg.SF)
 	t := Table{ID: "fig14a", Title: "Hyrise-like engine, sf 50", Unit: "s",
 		Header: "query", Cols: []string{"PMEM", "DRAM", "ratio"},
 		Paper: "PMEM on average 5.3x slower than DRAM (min 2.5x Q3.1, max 7.7x Q2.3)"}
-
-	mp := machine.MustNew(cfg.MachineConfig())
-	pm, err := naive.New(mp, data, naive.Options{Device: access.PMEM, TargetSF: 50})
-	if err != nil {
-		return nil, err
-	}
-	md := machine.MustNew(cfg.MachineConfig())
-	dr, err := naive.New(md, data, naive.Options{Device: access.DRAM, TargetSF: 50})
-	if err != nil {
-		return nil, err
-	}
-	var sumRatio float64
-	qs := ssb.Queries()
-	for _, q := range qs {
-		if err := cfg.Err(); err != nil {
-			return nil, err
-		}
-		a, err := pm.Run(q)
+	return pmemVsDRAM(cfg, t, func(m *machine.Machine, d *ssb.Data, dev access.DeviceClass) (engine.Runner, error) {
+		e, err := naive.New(m, d, naive.Options{Device: dev, TargetSF: 50})
 		if err != nil {
 			return nil, err
 		}
-		b, err := dr.Run(q)
-		if err != nil {
-			return nil, err
-		}
-		ratio := a.Seconds / b.Seconds
-		sumRatio += ratio
-		t.Series = append(t.Series, Series{Label: q.ID, Values: []float64{a.Seconds, b.Seconds, ratio}})
-	}
-	t.Series = append(t.Series, Series{Label: "AVG ratio", Values: []float64{0, 0, sumRatio / float64(len(qs))}})
-	return []Table{t}, nil
+		return engine.RunnerOf(e.Run), nil
+	})
 }
 
 func fig14b(cfg Config) ([]Table, error) {
-	data := dataAt(cfg.SF)
 	t := Table{ID: "fig14b", Title: "Handcrafted PMEM-aware engine, sf 100", Unit: "s",
 		Header: "query", Cols: []string{"PMEM", "DRAM", "ratio"},
 		Paper: "PMEM 1.66x slower on average; QF1 ~1.3 s vs ~0.5 s; best 1.4x (Q3.3), worst 3x (Q1.3)"}
+	return pmemVsDRAM(cfg, t, func(m *machine.Machine, d *ssb.Data, dev access.DeviceClass) (engine.Runner, error) {
+		e, err := aware.New(m, d, aware.Options{Device: dev, Threads: 36, Sockets: 2,
+			Pinning: cpu.PinCores, NUMAAware: true, TargetSF: 100})
+		if err != nil {
+			return nil, err
+		}
+		return engine.RunnerOf(e.Run), nil
+	})
+}
 
-	opt := aware.Options{Threads: 36, Sockets: 2, Pinning: cpu.PinCores, NUMAAware: true, TargetSF: 100}
-	mp := machine.MustNew(cfg.MachineConfig())
-	pm, err := aware.New(mp, data, opt)
+// pmemVsDRAM builds one engine on PMEM and one on DRAM, each on its own
+// machine, and adds a PMEM, DRAM, and ratio row per SSB query to t, then
+// the average ratio.
+func pmemVsDRAM(cfg Config, t Table, build func(*machine.Machine, *ssb.Data, access.DeviceClass) (engine.Runner, error)) ([]Table, error) {
+	data := dataAt(cfg.SF)
+	pm, err := build(machine.MustNew(cfg.MachineConfig()), data, access.PMEM)
 	if err != nil {
 		return nil, err
 	}
-	optD := opt
-	optD.Device = access.DRAM
-	md := machine.MustNew(cfg.MachineConfig())
-	dr, err := aware.New(md, data, optD)
+	dr, err := build(machine.MustNew(cfg.MachineConfig()), data, access.DRAM)
 	if err != nil {
 		return nil, err
 	}
@@ -103,17 +87,17 @@ func fig14b(cfg Config) ([]Table, error) {
 		if err := cfg.Err(); err != nil {
 			return nil, err
 		}
-		a, err := pm.Run(q)
+		_, a, err := pm(q)
 		if err != nil {
 			return nil, err
 		}
-		b, err := dr.Run(q)
+		_, b, err := dr(q)
 		if err != nil {
 			return nil, err
 		}
-		ratio := a.Seconds / b.Seconds
+		ratio := a / b
 		sumRatio += ratio
-		t.Series = append(t.Series, Series{Label: q.ID, Values: []float64{a.Seconds, b.Seconds, ratio}})
+		t.Series = append(t.Series, Series{Label: q.ID, Values: []float64{a, b, ratio}})
 	}
 	t.Series = append(t.Series, Series{Label: "AVG ratio", Values: []float64{0, 0, sumRatio / float64(len(qs))}})
 	return []Table{t}, nil

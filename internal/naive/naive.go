@@ -20,15 +20,12 @@ package naive
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/access"
-	"repro/internal/arena"
-	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/ssb"
-	"repro/internal/topology"
 )
 
 // Cost model constants for the stand-in C++ engine.
@@ -68,7 +65,6 @@ type Options struct {
 
 // Engine is a loaded single-socket columnar database.
 type Engine struct {
-	m    *machine.Machine
 	data *ssb.Data
 	opt  Options
 
@@ -77,89 +73,22 @@ type Engine struct {
 
 	tableRegion *machine.Region // columns + intermediates + maps, socket 0
 
-	// Simulation scratch, recycled across queries. An engine's Runs are
-	// serialized (the simulated machine itself is single-use at a time), so
-	// the stream descriptors, their labels, and the thread placements — all
-	// invariant per (stage, thread count) — are built once and reused; a
-	// warmed query run allocates no per-stream garbage.
-	streamArena *arena.Arena[machine.Stream]
-	streamBuf   []*machine.Stream
-	placeCache  map[int][]cpu.Placement
-	stageLabels map[string]*stageLabelSet
-	buildLabels map[string][2]string
-	joinNames   map[string]string
+	sim *engine.Sim
+	// labels holds each stage's per-thread stream labels, one lookup per
+	// stage rather than per stream.
+	labels engine.Memo[string, *stageLabels]
 }
 
-// stageLabelSet caches runStage's per-thread stream labels for one stage.
-type stageLabelSet struct {
+// stageLabels are runStage's per-thread stream labels for one stage.
+type stageLabels struct {
 	in, probe, mat []string
 }
 
-// placementsFor memoizes cpu.AssignThreads for a thread count (topology and
-// pin policy are fixed per engine).
-func (e *Engine) placementsFor(n int) []cpu.Placement {
-	if p, ok := e.placeCache[n]; ok {
-		return p
-	}
-	p := cpu.AssignThreads(e.m.Topology(), cpu.PinNUMA, 0, n)
-	e.placeCache[n] = p
-	return p
-}
-
-// labelsFor memoizes the in/probe/mat labels for a stage name.
-func (e *Engine) labelsFor(name string) *stageLabelSet {
-	if l, ok := e.stageLabels[name]; ok {
-		return l
-	}
-	n := e.opt.Threads
-	l := &stageLabelSet{
-		in:    make([]string, n),
-		probe: make([]string, n),
-		mat:   make([]string, n),
-	}
-	for t := 0; t < n; t++ {
-		l.in[t] = fmt.Sprintf("%s/in/t%02d", name, t)
-		l.probe[t] = fmt.Sprintf("%s/probe/t%02d", name, t)
-		l.mat[t] = fmt.Sprintf("%s/mat/t%02d", name, t)
-	}
-	e.stageLabels[name] = l
-	return l
-}
-
-// buildLabelsFor memoizes the build-phase labels for a dimension.
-func (e *Engine) buildLabelsFor(dim string) [2]string {
-	if l, ok := e.buildLabels[dim]; ok {
-		return l
-	}
-	l := [2]string{"build-scan/" + dim, "build-map/" + dim}
-	e.buildLabels[dim] = l
-	return l
-}
-
-// joinNameFor memoizes the "join-<dim>" stage name.
-func (e *Engine) joinNameFor(dim string) string {
-	if v, ok := e.joinNames[dim]; ok {
-		return v
-	}
-	v := "join-" + dim
-	e.joinNames[dim] = v
-	return v
-}
-
 // QueryRun is one executed query.
-type QueryRun struct {
-	ID      string
-	Result  ssb.Result
-	Seconds float64
-	Phases  []Phase
-	Stats   Stats
-}
+type QueryRun = engine.QueryRun[Stats]
 
 // Phase is one timed operator stage.
-type Phase struct {
-	Name    string
-	Seconds float64
-}
+type Phase = engine.Phase
 
 // Stats summarizes the run's traffic (scaled to TargetSF).
 type Stats struct {
@@ -180,57 +109,34 @@ func New(m *machine.Machine, data *ssb.Data, opt Options) (*Engine, error) {
 	if opt.TargetSF == 0 {
 		opt.TargetSF = data.SF
 	}
-	e := &Engine{m: m, data: data, opt: opt,
-		streamArena: arena.New[machine.Stream](64),
-		placeCache:  map[int][]cpu.Placement{},
-		stageLabels: map[string]*stageLabelSet{},
-		buildLabels: map[string][2]string{},
-		joinNames:   map[string]string{},
+	e := &Engine{data: data, opt: opt, sim: engine.NewSim(m),
+		factScale: engine.Scale(data, "lineorder", opt.TargetSF),
+		dimScale:  engine.DimScales(data, opt.TargetSF),
 	}
-	e.factScale = float64(int64(6_000_000*opt.TargetSF)) / float64(len(data.Lineorder))
-	e.dimScale = map[string]float64{
-		"customer": float64(int(30_000*opt.TargetSF)) / float64(len(data.Customer)),
-		"supplier": float64(int(2_000*opt.TargetSF)) / float64(len(data.Supplier)),
-		"part":     float64(partAt(opt.TargetSF)) / float64(len(data.Part)),
-		"date":     1,
-	}
+	e.labels = engine.NewMemo(func(name string) *stageLabels {
+		l := &stageLabels{
+			in:    make([]string, opt.Threads),
+			probe: make([]string, opt.Threads),
+			mat:   make([]string, opt.Threads),
+		}
+		for t := 0; t < opt.Threads; t++ {
+			l.in[t] = fmt.Sprintf("%s/in/t%02d", name, t)
+			l.probe[t] = fmt.Sprintf("%s/probe/t%02d", name, t)
+			l.mat[t] = fmt.Sprintf("%s/mat/t%02d", name, t)
+		}
+		return l
+	})
 
 	// Columnar fact footprint: ~17 4-byte columns, plus dims and headroom
 	// for intermediates and hash maps.
-	size := int64(6_000_000*opt.TargetSF) * 80
-	if size < 1<<22 {
-		size = 1 << 22
-	}
-	var reg *machine.Region
-	var err error
-	if opt.Device == access.DRAM {
-		reg, err = m.AllocDRAM("hyrise/tables", 0, size)
-	} else {
-		reg, err = m.AllocPMEM("hyrise/tables", 0, size, machine.FsDax)
-		if err == nil {
-			reg.PreFault()
-		}
-	}
+	size := max(int64(ssb.RowsAt("lineorder", opt.TargetSF))*80, 1<<22)
+	reg, err := engine.AllocTable(m, "hyrise/tables", 0, size, opt.Device)
 	if err != nil {
 		return nil, err
 	}
-	reg.CoherenceStable = true
-	for o := 0; o < m.Topology().Sockets(); o++ {
-		reg.WarmFor(topology.SocketID(o))
-	}
+	engine.Settle(m, reg)
 	e.tableRegion = reg
 	return e, nil
-}
-
-func partAt(sf float64) int {
-	if sf >= 1 {
-		mult := 1
-		for s := 2.0; s <= sf; s *= 2 {
-			mult++
-		}
-		return 200_000 * mult
-	}
-	return int(200_000 * sf)
 }
 
 // dimSet is one build-side dimension: its surviving keys and selectivity.
@@ -263,10 +169,11 @@ const dateSlots = 7 * 372
 // joinStage is one hash-join operator in the pipeline.
 type joinStage struct {
 	dim        string
-	mapEntries int   // records in the build-side map (filtered dim rows)
-	probesIn   int64 // rows probing this stage
-	survivors  int64 // rows passing
-	first      bool  // stage reads the base column, later stages gather
+	name       string // "join-<dim>", the stage's label prefix
+	mapEntries int    // records in the build-side map (filtered dim rows)
+	probesIn   int64  // rows probing this stage
+	survivors  int64  // rows passing
+	first      bool   // stage reads the base column, later stages gather
 }
 
 // dimMeta is what the traffic model needs to know about one build-side
@@ -274,6 +181,8 @@ type joinStage struct {
 type dimMeta struct {
 	name    string
 	entries int // filtered dim rows in the build-side map
+	// scanLabel and mapLabel label the dimension's build-phase streams.
+	scanLabel, mapLabel string
 }
 
 // naiveExec is one query's executed plan. Like the aware engine's factExec
@@ -309,38 +218,16 @@ func (e *Engine) execFor(q ssb.Query) *naiveExec {
 			}
 			dims = append(dims, dimSet{"date", keep, n, float64(n) / float64(len(d.Date))})
 		}
-		if q.NeedsCust {
-			keep := make([]bool, len(d.Customer)+1)
+		for _, dm := range engine.JoinedDims(d, q) {
+			keep := make([]bool, dm.Rows+1)
 			n := 0
-			for i := range d.Customer {
-				if q.CustFilter == nil || q.CustFilter(&d.Customer[i]) {
-					keep[d.Customer[i].CustKey] = true
+			for i := 0; i < dm.Rows; i++ {
+				if dm.Keep(i) {
+					keep[dm.Key(i)] = true
 					n++
 				}
 			}
-			dims = append(dims, dimSet{"customer", keep, n, float64(n) / float64(len(d.Customer))})
-		}
-		if q.NeedsSupp {
-			keep := make([]bool, len(d.Supplier)+1)
-			n := 0
-			for i := range d.Supplier {
-				if q.SuppFilter == nil || q.SuppFilter(&d.Supplier[i]) {
-					keep[d.Supplier[i].SuppKey] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"supplier", keep, n, float64(n) / float64(len(d.Supplier))})
-		}
-		if q.NeedsPart {
-			keep := make([]bool, len(d.Part)+1)
-			n := 0
-			for i := range d.Part {
-				if q.PartFilter == nil || q.PartFilter(&d.Part[i]) {
-					keep[d.Part[i].PartKey] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"part", keep, n, float64(n) / float64(len(d.Part))})
+			dims = append(dims, dimSet{dm.Name, keep, n, float64(n) / float64(dm.Rows)})
 		}
 		sort.Slice(dims, func(i, j int) bool { return dims[i].sel < dims[j].sel })
 
@@ -410,9 +297,10 @@ func (e *Engine) execFor(q ssb.Query) *naiveExec {
 
 		in := int64(len(survivors))
 		for si, ds := range dims {
-			ex.dims = append(ex.dims, dimMeta{name: ds.name, entries: ds.entries})
+			ex.dims = append(ex.dims, dimMeta{name: ds.name, entries: ds.entries,
+				scanLabel: "build-scan/" + ds.name, mapLabel: "build-map/" + ds.name})
 			ex.stages = append(ex.stages, joinStage{
-				dim: ds.name, mapEntries: ds.entries,
+				dim: ds.name, name: "join-" + ds.name, mapEntries: ds.entries,
 				probesIn: in, survivors: counts[si], first: si == 0,
 			})
 			in = counts[si]
@@ -425,35 +313,19 @@ func (e *Engine) execFor(q ssb.Query) *naiveExec {
 // Run executes one query.
 func (e *Engine) Run(q ssb.Query) (QueryRun, error) {
 	ex := e.execFor(q)
-	run := QueryRun{ID: q.ID, Result: make(ssb.Result, len(ex.result)),
-		Phases: make([]Phase, 0, 2)}
+	run := engine.NewRun[Stats](q.ID, ex.result, 2)
 
 	buildSec, err := e.simulateBuild(ex.dims)
 	if err != nil {
 		return run, err
 	}
-	run.Phases = append(run.Phases, Phase{"dim-scan+build", buildSec})
-
-	// Copy the exact result out of the shared memo.
-	for k, v := range ex.result {
-		run.Result[k] = v
-	}
+	run.AddPhase("dim-scan+build", buildSec)
 
 	factSec, stats, err := e.simulatePipeline(q, ex.scanSurvivors, ex.stages, ex.matched)
 	if err != nil {
 		return run, err
 	}
-	run.Phases = append(run.Phases, Phase{"join-pipeline", factSec})
+	run.AddPhase("join-pipeline", factSec)
 	run.Stats = stats
-
-	for _, ph := range run.Phases {
-		run.Seconds += ph.Seconds
-	}
 	return run, nil
-}
-
-// cacheMissRate for the node-based map: scattered allocations cache poorly.
-func cacheMissRate(mapBytes float64) float64 {
-	hit := MaxCacheHit * math.Min(1, float64(LLCBytes)/math.Max(mapBytes, 1))
-	return 1 - hit
 }

@@ -22,20 +22,10 @@ func (e *Engine) Plan(q ssb.Query) string {
 		sel  float64
 	}
 	var dims []dim
-	if q.DateFilter != nil || q.GroupBy != nil {
-		sel := 1.0
-		if q.DateFilter != nil {
-			n := 0
-			for i := range e.data.Date {
-				if q.DateFilter(&e.data.Date[i]) {
-					n++
-				}
-			}
-			sel = float64(n) / float64(len(e.data.Date))
-		}
-		dims = append(dims, dim{"date", sel})
-	}
 	sels := ssb.Measure(e.data, q)
+	if q.DateFilter != nil || q.GroupBy != nil {
+		dims = append(dims, dim{"date", sels.Date})
+	}
 	if q.NeedsCust {
 		dims = append(dims, dim{"customer", sels.Cust})
 	}

@@ -3,6 +3,7 @@ package naive
 import (
 	"repro/internal/access"
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/ssb"
 )
@@ -10,63 +11,37 @@ import (
 // simulateBuild charges the dimension scans plus the chained-map node
 // writes: small random writes, the pattern Section 4.1 warns about.
 func (e *Engine) simulateBuild(dims []dimMeta) (float64, error) {
-	if len(dims) == 0 {
-		return 0, nil
-	}
-	placements := e.placementsFor(len(dims))
-	e.streamArena.Reset()
-	streams := e.streamBuf[:0]
+	placements := e.sim.Placements(cpu.PinNUMA, 0, len(dims))
+	e.sim.Reset()
 	for i, ds := range dims {
 		scale := e.dimScale[ds.name]
-		rows := float64(e.dimRowsOf(ds.name)) * scale
+		rows := float64(e.data.Rows(ds.name)) * scale
 		entries := float64(ds.entries) * scale
-		labels := e.buildLabelsFor(ds.name)
-		scan := e.streamArena.Alloc()
-		*scan = machine.Stream{
-			Label:      labels[0],
+		e.sim.Add(machine.Stream{
+			Label:      ds.scanLabel,
 			Placement:  placements[i],
 			Policy:     cpu.PinNUMA,
 			Region:     e.tableRegion,
 			Dir:        access.Read,
 			Pattern:    access.SeqIndividual,
 			AccessSize: 4096,
-			Bytes:      maxf(rows*8, 4096),
-			CPUPerByte: (rows * ScanCPUPerValue) / maxf(rows*8, 4096),
-		}
-		build := e.streamArena.Alloc()
-		*build = machine.Stream{
-			Label:      labels[1],
+			Bytes:      max(rows*8, 4096),
+			CPUPerByte: (rows * ScanCPUPerValue) / max(rows*8, 4096),
+		})
+		e.sim.Add(machine.Stream{
+			Label:      ds.mapLabel,
 			Placement:  placements[i],
 			Policy:     cpu.PinNUMA,
 			Region:     e.tableRegion,
 			Dir:        access.Write,
 			Pattern:    access.Random,
 			AccessSize: ChaseBytes,
-			Bytes:      maxf(entries*MapBytesPerEntry, ChaseBytes),
-			CPUPerByte: (entries * ProbeCPU) / maxf(entries*MapBytesPerEntry, ChaseBytes),
+			Bytes:      max(entries*MapBytesPerEntry, ChaseBytes),
+			CPUPerByte: (entries * ProbeCPU) / max(entries*MapBytesPerEntry, ChaseBytes),
 			Dependent:  true,
-		}
-		streams = append(streams, scan, build)
+		})
 	}
-	e.streamBuf = streams
-	res, err := e.m.Run(streams)
-	if err != nil {
-		return 0, err
-	}
-	return res.Elapsed, nil
-}
-
-func (e *Engine) dimRowsOf(name string) int {
-	switch name {
-	case "date":
-		return len(e.data.Date)
-	case "customer":
-		return len(e.data.Customer)
-	case "supplier":
-		return len(e.data.Supplier)
-	default:
-		return len(e.data.Part)
-	}
+	return e.sim.Run()
 }
 
 // simulatePipeline charges the fact-side column scan, the hash-join stages
@@ -87,8 +62,10 @@ func (e *Engine) simulatePipeline(q ssb.Query, scanSurvivors int64, stages []joi
 	if predCols > 0 {
 		scanBytes := rows * 4 * predCols * e.factScale
 		stats.ColumnBytesScanned += int64(scanBytes)
-		sec, err := e.runSpread("scan-pred", access.Read, access.SeqIndividual, 4096,
-			scanBytes, rows*predCols*ScanCPUPerValue*e.factScale, false)
+		sec, err := e.runStage("scan-pred", stageTraffic{
+			inputBytes: scanBytes, inputPattern: access.SeqIndividual, inputSize: 4096,
+			inputCPU: rows * predCols * ScanCPUPerValue * e.factScale,
+		})
 		if err != nil {
 			return 0, stats, err
 		}
@@ -99,7 +76,7 @@ func (e *Engine) simulatePipeline(q ssb.Query, scanSurvivors int64, stages []joi
 		probesIn := float64(st.probesIn) * e.factScale
 		scale := e.dimScale[st.dim]
 		mapBytes := float64(st.mapEntries) * scale * MapBytesPerEntry
-		miss := cacheMissRate(mapBytes)
+		miss := engine.CacheMissRate(LLCBytes, MaxCacheHit, mapBytes)
 
 		var inputBytes float64
 		var inputPattern access.Pattern
@@ -125,7 +102,7 @@ func (e *Engine) simulatePipeline(q ssb.Query, scanSurvivors int64, stages []joi
 		matBytes := float64(st.survivors) * e.factScale * MaterializeBytesPerRow
 		stats.MaterializedBytes += int64(matBytes)
 
-		sec, err := e.runStage(e.joinNameFor(st.dim), stageTraffic{
+		sec, err := e.runStage(st.name, stageTraffic{
 			inputBytes:   inputBytes,
 			inputPattern: inputPattern,
 			inputSize:    inputSize,
@@ -177,69 +154,40 @@ type stageTraffic struct {
 // runStage spreads one operator's traffic over the engine's threads and
 // runs it on the machine.
 func (e *Engine) runStage(name string, tr stageTraffic) (float64, error) {
-	placements := e.placementsFor(e.opt.Threads)
-	labels := e.labelsFor(name)
+	placements := e.sim.Placements(cpu.PinNUMA, 0, e.opt.Threads)
+	labels := e.labels.Get(name)
 	n := float64(e.opt.Threads)
-	e.streamArena.Reset()
-	streams := e.streamBuf[:0]
+	e.sim.Reset()
 	for t, pl := range placements {
 		if tr.inputBytes > 0 {
-			b := maxf(tr.inputBytes/n, float64(tr.inputSize))
-			st := e.streamArena.Alloc()
-			*st = machine.Stream{
+			b := max(tr.inputBytes/n, float64(tr.inputSize))
+			e.sim.Add(machine.Stream{
 				Label: labels.in[t], Placement: pl, Policy: cpu.PinNUMA,
 				Region: e.tableRegion, Dir: access.Read, Pattern: tr.inputPattern,
 				AccessSize: tr.inputSize, Bytes: b,
 				CPUPerByte: tr.inputCPU / n / b,
 				Dependent:  tr.inputPattern == access.Random,
-			}
-			streams = append(streams, st)
+			})
 		}
 		if tr.probeBytes > 0 {
-			b := maxf(tr.probeBytes/n, ChaseBytes)
-			st := e.streamArena.Alloc()
-			*st = machine.Stream{
+			b := max(tr.probeBytes/n, ChaseBytes)
+			e.sim.Add(machine.Stream{
 				Label: labels.probe[t], Placement: pl, Policy: cpu.PinNUMA,
 				Region: e.tableRegion, Dir: access.Read, Pattern: access.Random,
 				AccessSize: ChaseBytes, Bytes: b,
 				CPUPerByte: tr.probeCPU / n / b,
 				Dependent:  true,
-			}
-			streams = append(streams, st)
+			})
 		}
 		if tr.matBytes > 0 {
-			b := maxf(tr.matBytes/n, 64)
-			st := e.streamArena.Alloc()
-			*st = machine.Stream{
+			b := max(tr.matBytes/n, 64)
+			e.sim.Add(machine.Stream{
 				Label: labels.mat[t], Placement: pl, Policy: cpu.PinNUMA,
 				Region: e.tableRegion, Dir: access.Write, Pattern: access.SeqIndividual,
 				AccessSize: 64, Bytes: b,
 				CPUPerByte: tr.matCPU / n / b,
-			}
-			streams = append(streams, st)
+			})
 		}
 	}
-	e.streamBuf = streams
-	if len(streams) == 0 {
-		return 0, nil
-	}
-	res, err := e.m.Run(streams)
-	if err != nil {
-		return 0, err
-	}
-	return res.Elapsed, nil
-}
-
-// runSpread is runStage for a single read flow.
-func (e *Engine) runSpread(name string, dir access.Direction, pattern access.Pattern, size int64, bytes, cpuSec float64, dependent bool) (float64, error) {
-	return e.runStage(name, stageTraffic{
-		inputBytes: bytes, inputPattern: pattern, inputSize: size, inputCPU: cpuSec,
-	})
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return e.sim.Run()
 }

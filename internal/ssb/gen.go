@@ -91,6 +91,27 @@ func partCount(sf float64) int {
 	return maxInt(int(200_000*sf), 400)
 }
 
+// dateRows is the calendar 1992-01-01..1998-12-31 (two leap years).
+const dateRows = 7*365 + 2
+
+// RowsAt returns how many rows Generate produces for the named table
+// (TableNames spelling) at scale factor sf, or 0 for an unknown name.
+func RowsAt(table string, sf float64) int {
+	switch table {
+	case "lineorder":
+		return lineorderCount(sf)
+	case "customer":
+		return customerCount(sf)
+	case "supplier":
+		return supplierCount(sf)
+	case "part":
+		return partCount(sf)
+	case "date":
+		return dateRows
+	}
+	return 0
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -180,6 +180,24 @@ func (d *Data) PartByKey(key uint32) *Part {
 	return &d.Part[key-1]
 }
 
+// Rows returns the row count of the named table (TableNames spelling), or 0
+// for an unknown name.
+func (d *Data) Rows(table string) int {
+	switch table {
+	case "lineorder":
+		return len(d.Lineorder)
+	case "customer":
+		return len(d.Customer)
+	case "supplier":
+		return len(d.Supplier)
+	case "part":
+		return len(d.Part)
+	case "date":
+		return len(d.Date)
+	}
+	return 0
+}
+
 // FactBytes returns the handcrafted engine's storage footprint of the fact
 // table (TupleBytes per row).
 func (d *Data) FactBytes() int64 { return int64(len(d.Lineorder)) * TupleBytes }

@@ -48,6 +48,22 @@ func TestCardinalities(t *testing.T) {
 	}
 }
 
+// TestRowsAtMatchesGenerate: RowsAt is the generator's own count for every
+// table, including the minimum dimension sizes below sf 0.02.
+func TestRowsAtMatchesGenerate(t *testing.T) {
+	for _, sf := range []float64{0.005, 0.01, 0.05} {
+		d := MustGenerate(sf)
+		for _, table := range TableNames() {
+			if got, want := RowsAt(table, sf), d.Rows(table); got != want || want == 0 {
+				t.Errorf("sf %g %s: RowsAt = %d, generated %d", sf, table, got, want)
+			}
+		}
+	}
+	if RowsAt("nope", 1) != 0 || MustGenerate(0.005).Rows("nope") != 0 {
+		t.Error("unknown table must count 0 rows")
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a := MustGenerate(0.01)
 	b := MustGenerate(0.01)
