@@ -156,7 +156,7 @@ func New(opts Options) (*Router, error) {
 		hReqDur:        reg.Histogram("fleet_request_duration_seconds", metrics.DefaultDurationBuckets()),
 	}
 	if rt.log == nil {
-		rt.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		rt.log = server.DiscardLogger()
 	}
 	for _, w := range opts.Workers {
 		rt.workers = append(rt.workers, &workerState{

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -541,5 +543,16 @@ func TestRendezvousOrderIsListOrderIndependent(t *testing.T) {
 	}
 	if len(owners) < 2 {
 		t.Errorf("64 keys all routed to a single worker: %v", owners)
+	}
+}
+
+// TestNilLoggerDisabled: with no Logger the router's log is disabled at
+// every level, so per-request lines are dropped before formatting.
+func TestNilLoggerDisabled(t *testing.T) {
+	rt, _ := newRouter(t, Options{Workers: []Worker{{Name: "w0", URL: "http://127.0.0.1:1"}}})
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if rt.log.Enabled(context.Background(), lvl) {
+			t.Errorf("nil Logger: level %v enabled", lvl)
+		}
 	}
 }

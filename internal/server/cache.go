@@ -2,6 +2,8 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 
 	"repro/internal/metrics"
@@ -28,10 +30,30 @@ type resultCache struct {
 	entries   *metrics.Gauge
 }
 
-type cacheEntry struct {
-	key   string
-	body  []byte
+// result is one servable result: the marshaled body, its content hash, and
+// the optional trace.
+type result struct {
+	body []byte
+	// sha is the lowercase hex SHA-256 of body — the ContentSHAHeader value —
+	// computed once when the body is produced or read back from disk, so a
+	// hit never rehashes it and a body that changes while resident no longer
+	// matches the hash it is served with.
+	sha   string
 	trace []byte // simulated-time timeline (traced requests only); nil otherwise
+}
+
+func newResult(body, trace []byte) result {
+	sum := sha256.Sum256(body)
+	return result{body: body, sha: hex.EncodeToString(sum[:]), trace: trace}
+}
+
+func (r result) size(key string) int64 {
+	return int64(len(key) + len(r.body) + len(r.trace))
+}
+
+type cacheEntry struct {
+	key string
+	result
 }
 
 func newResultCache(budget int64, reg *metrics.Registry) *resultCache {
@@ -47,49 +69,41 @@ func newResultCache(budget int64, reg *metrics.Registry) *resultCache {
 	}
 }
 
-func entrySize(key string, body, trace []byte) int64 {
-	return int64(len(key) + len(body) + len(trace))
-}
-
-// get returns the cached body (and, for traced entries, the trace) for key
-// and refreshes its recency. The returned slices are shared and must not be
-// mutated.
-func (c *resultCache) get(key string) (body, trace []byte, ok bool) {
+// get returns the cached result for key and refreshes its recency. The
+// returned slices are shared and must not be mutated.
+func (c *resultCache) get(key string) (result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.items[key]
 	if !found {
 		c.misses.Inc()
-		return nil, nil, false
+		return result{}, false
 	}
 	c.hits.Inc()
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.trace, true
+	return el.Value.(*cacheEntry).result, true
 }
 
 // getIfPresent is get without the miss counter: the serving path uses it
 // to re-check the LRU after probing the disk tier, so one cold request
 // counts a single memory miss. A hit still counts (and refreshes recency).
-func (c *resultCache) getIfPresent(key string) (body, trace []byte, ok bool) {
+func (c *resultCache) getIfPresent(key string) (result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.items[key]
 	if !found {
-		return nil, nil, false
+		return result{}, false
 	}
 	c.hits.Inc()
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.body, e.trace, true
+	return el.Value.(*cacheEntry).result, true
 }
 
-// put stores body (plus an optional trace) under key and evicts
-// least-recently-used entries until the budget holds again. An entry that
-// alone exceeds the whole budget is not cached (it would only flush
-// everything else for a single entry).
-func (c *resultCache) put(key string, body, trace []byte) {
-	size := entrySize(key, body, trace)
+// put stores r under key and evicts least-recently-used entries until the
+// budget holds again. An entry that alone exceeds the whole budget is not
+// cached (it would only flush everything else for a single entry).
+func (c *resultCache) put(key string, r result) {
+	size := r.size(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.budget {
@@ -99,11 +113,11 @@ func (c *resultCache) put(key string, body, trace []byte) {
 		// Deterministic results mean a re-put carries identical bytes, but
 		// replace anyway so the invariant doesn't rest on that.
 		e := el.Value.(*cacheEntry)
-		c.used += size - entrySize(key, e.body, e.trace)
-		e.body, e.trace = body, trace
+		c.used += size - e.size(key)
+		e.result = r
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, trace: trace})
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, result: r})
 		c.used += size
 	}
 	for c.used > c.budget {
@@ -114,7 +128,7 @@ func (c *resultCache) put(key string, body, trace []byte) {
 		e := oldest.Value.(*cacheEntry)
 		c.ll.Remove(oldest)
 		delete(c.items, e.key)
-		c.used -= entrySize(e.key, e.body, e.trace)
+		c.used -= e.size(e.key)
 		c.evictions.Inc()
 	}
 	c.bytes.Set(float64(c.used))

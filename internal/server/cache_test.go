@@ -8,7 +8,7 @@ import (
 	"repro/internal/metrics"
 )
 
-func mustCanonical(t *testing.T, body string) canonical {
+func mustCanonical(t testing.TB, body string) canonical {
 	t.Helper()
 	var req RunRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
@@ -101,7 +101,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		if len(body(i)) != 28 {
 			t.Fatalf("test body size drifted: %d", len(body(i)))
 		}
-		c.put(key(i), body(i), nil)
+		c.put(key(i), newResult(body(i), nil))
 	}
 	if c.len() != 3 {
 		t.Fatalf("cache holds %d entries, want 3", c.len())
@@ -109,10 +109,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.usedBytes() > 96 {
 		t.Fatalf("cache uses %d bytes, budget 96", c.usedBytes())
 	}
-	if _, _, ok := c.get(key(0)); ok {
+	if _, ok := c.get(key(0)); ok {
 		t.Error("oldest entry k000 not evicted")
 	}
-	if _, _, ok := c.get(key(3)); !ok {
+	if _, ok := c.get(key(3)); !ok {
 		t.Error("newest entry k003 missing")
 	}
 	_, _, ev := cacheCounters(t, reg)
@@ -121,14 +121,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// Touching k001 must protect it from the next eviction.
-	if _, _, ok := c.get(key(1)); !ok {
+	if _, ok := c.get(key(1)); !ok {
 		t.Fatal("k001 missing before recency test")
 	}
-	c.put(key(4), body(4), nil)
-	if _, _, ok := c.get(key(1)); !ok {
+	c.put(key(4), newResult(body(4), nil))
+	if _, ok := c.get(key(1)); !ok {
 		t.Error("recently-used k001 evicted instead of LRU k002")
 	}
-	if _, _, ok := c.get(key(2)); ok {
+	if _, ok := c.get(key(2)); ok {
 		t.Error("LRU k002 survived over recently-used k001")
 	}
 }
@@ -136,12 +136,12 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheOversizedBodyNotCached(t *testing.T) {
 	reg := metrics.New()
 	c := newResultCache(16, reg)
-	c.put("small", []byte("ok"), nil)
-	c.put("huge", make([]byte, 64), nil)
-	if _, _, ok := c.get("huge"); ok {
+	c.put("small", newResult([]byte("ok"), nil))
+	c.put("huge", newResult(make([]byte, 64), nil))
+	if _, ok := c.get("huge"); ok {
 		t.Error("oversized body was cached")
 	}
-	if _, _, ok := c.get("small"); !ok {
+	if _, ok := c.get("small"); !ok {
 		t.Error("oversized put evicted the resident entry")
 	}
 }
@@ -153,15 +153,15 @@ func TestCacheOversizedBodyNotCached(t *testing.T) {
 func TestCacheOversizedReplaceKeepsResident(t *testing.T) {
 	reg := metrics.New()
 	c := newResultCache(64, reg)
-	c.put("a", []byte("alpha"), nil)
-	c.put("b", []byte("beta"), nil)
+	c.put("a", newResult([]byte("alpha"), nil))
+	c.put("b", newResult([]byte("beta"), nil))
 	used := c.usedBytes()
 
-	c.put("a", make([]byte, 128), nil) // larger than the whole budget
-	if body, _, ok := c.get("a"); !ok || string(body) != "alpha" {
-		t.Errorf("resident entry a = %q/%v, want the original alpha", body, ok)
+	c.put("a", newResult(make([]byte, 128), nil)) // larger than the whole budget
+	if res, ok := c.get("a"); !ok || string(res.body) != "alpha" {
+		t.Errorf("resident entry a = %q/%v, want the original alpha", res.body, ok)
 	}
-	if _, _, ok := c.get("b"); !ok {
+	if _, ok := c.get("b"); !ok {
 		t.Error("oversized re-put evicted unrelated entry b")
 	}
 	if c.usedBytes() != used {
@@ -177,12 +177,12 @@ func TestCacheOversizedReplaceKeepsResident(t *testing.T) {
 func TestCacheOversizedTraceNotCached(t *testing.T) {
 	reg := metrics.New()
 	c := newResultCache(64, reg)
-	c.put("resident", []byte("stay"), nil)
-	c.put("traced", []byte("tiny"), make([]byte, 256))
-	if _, _, ok := c.get("traced"); ok {
+	c.put("resident", newResult([]byte("stay"), nil))
+	c.put("traced", newResult([]byte("tiny"), make([]byte, 256)))
+	if _, ok := c.get("traced"); ok {
 		t.Error("entry whose body+trace exceed the budget was cached")
 	}
-	if _, _, ok := c.get("resident"); !ok {
+	if _, ok := c.get("resident"); !ok {
 		t.Error("oversized traced put evicted the resident entry")
 	}
 }
@@ -192,8 +192,8 @@ func TestCacheOversizedTraceNotCached(t *testing.T) {
 func TestCacheEntryExactlyAtBudgetFits(t *testing.T) {
 	reg := metrics.New()
 	c := newResultCache(16, reg)
-	c.put("abcd", make([]byte, 12), nil) // 4 + 12 == budget
-	if _, _, ok := c.get("abcd"); !ok {
+	c.put("abcd", newResult(make([]byte, 12), nil)) // 4 + 12 == budget
+	if _, ok := c.get("abcd"); !ok {
 		t.Error("entry exactly at the budget was rejected")
 	}
 }
@@ -202,7 +202,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	reg := metrics.New()
 	c := newResultCache(1<<10, reg)
 	c.get("absent")
-	c.put("k", []byte("v"), nil)
+	c.put("k", newResult([]byte("v"), nil))
 	c.get("k")
 	c.get("k")
 	hits, misses, _ := cacheCounters(t, reg)

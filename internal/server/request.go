@@ -12,9 +12,15 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/doctor"
 	"repro/internal/experiments"
@@ -137,21 +143,156 @@ func isJSONNull(raw json.RawMessage) bool {
 	return string(bytes.TrimSpace(raw)) == "null"
 }
 
-// key is the content address: SHA-256 over the canonical JSON. The canonical
-// struct marshals with a fixed field order and fully resolved values, so the
-// key is a pure function of the request's meaning.
+// key is the content address: SHA-256 over a compact binary encoding of the
+// canonical struct (see appendKeyValue), as 64 lowercase hex characters.
+// The canonical struct holds fully resolved values in a fixed field order,
+// so the key is a pure function of the request's meaning. The encoding
+// distinguishes exactly the values encoding/json does — the same fields,
+// null vs empty, omitempty folding — so two requests share a key exactly
+// when their canonical JSON would be equal, at a fraction of the cost.
 func (c canonical) key() string {
-	b, err := json.Marshal(c)
-	if err != nil {
-		// machine.Config and the scalar fields always marshal; a failure
-		// here is a programming error, not an input error.
-		panic(fmt.Sprintf("server: canonical request not marshalable: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var buf [1024]byte
+	sum := sha256.Sum256(appendKeyValue(buf[:0], reflect.ValueOf(&c).Elem()))
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
 
-// KeyForRequest canonicalizes req and returns its SHA-256 cache key — the
+// keyField is one encoded field of a struct type: its index and whether
+// its json tag says omitempty.
+type keyField struct {
+	index     int
+	omitEmpty bool
+}
+
+// keyPlans caches each struct type's encoded fields (reflect.Type ->
+// []keyField), built once per type.
+var keyPlans sync.Map
+
+// keyPlan returns t's encoded fields: the exported fields without a
+// json:"-" tag, in declaration order — the fields encoding/json writes. It
+// panics on a field type appendKeyValue cannot encode (maps, interfaces,
+// funcs, channels, complex numbers) or an embedded field, whose promotion
+// rules the encoding does not mirror: such a field must fail tests rather
+// than let two different requests share a key.
+func keyPlan(t reflect.Type) []keyField {
+	if p, ok := keyPlans.Load(t); ok {
+		return p.([]keyField)
+	}
+	var plan []keyField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			panic(fmt.Sprintf("server: cache key cannot encode embedded field %s.%s", t, f.Name))
+		}
+		tag := f.Tag.Get("json")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		checkKeyType(f.Type)
+		_, opts, _ := strings.Cut(tag, ",")
+		plan = append(plan, keyField{index: i, omitEmpty: slices.Contains(strings.Split(opts, ","), "omitempty")})
+	}
+	keyPlans.Store(t, plan)
+	return plan
+}
+
+// checkKeyType panics unless appendKeyValue can encode every value of t.
+func checkKeyType(t reflect.Type) {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String, reflect.Float32, reflect.Float64,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		checkKeyType(t.Elem())
+	case reflect.Struct:
+		keyPlan(t)
+	default:
+		panic(fmt.Sprintf("server: cache key cannot encode %s (kind %s)", t, t.Kind()))
+	}
+}
+
+// appendKeyValue appends v's key encoding to b. Integers are varints,
+// floats their IEEE-754 bits, strings and slices length-prefixed, and
+// pointers and slices carry a presence byte (nil marshals to JSON null,
+// distinct from an empty value). An omitempty field whose value
+// encoding/json would drop is a single absent byte, so the fold JSON makes
+// there (0 and -0, nil and empty) is made here too. The encoding is
+// prefix-free for a fixed type, so distinct values never collide.
+func appendKeyValue(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		s := v.String()
+		return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		return appendKeyValue(append(b, 1), v.Elem())
+	case reflect.Slice:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		b = binary.AppendUvarint(append(b, 1), uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			b = appendKeyValue(b, v.Index(i))
+		}
+		return b
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			b = appendKeyValue(b, v.Index(i))
+		}
+		return b
+	case reflect.Struct:
+		for _, f := range keyPlan(v.Type()) {
+			fv := v.Field(f.index)
+			if f.omitEmpty {
+				if jsonEmpty(fv) {
+					b = append(b, 0)
+					continue
+				}
+				b = append(b, 1)
+			}
+			b = appendKeyValue(b, fv)
+		}
+		return b
+	}
+	panic(fmt.Sprintf("server: cache key cannot encode %s (kind %s)", v.Type(), v.Kind()))
+}
+
+// jsonEmpty is encoding/json's omitempty test: false, 0, a nil pointer,
+// and an empty string, slice or array are dropped; a struct never is.
+func jsonEmpty(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Array, reflect.Slice, reflect.String:
+		return v.Len() == 0
+	case reflect.Bool:
+		return !v.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return v.Int() == 0
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return v.Uint() == 0
+	case reflect.Float32, reflect.Float64:
+		return v.Float() == 0
+	case reflect.Pointer:
+		return v.IsNil()
+	}
+	return false
+}
+
+// KeyForRequest canonicalizes req and returns its SHA-256 cache key (64 hex
+// characters over the canonical binary encoding, see canonical.key) — the
 // exact key a pmemd worker derives when serving the same request. The
 // fleet router uses it for key-affinity routing, so identical requests
 // (however respelled: field order, spelled defaults, nil-elided faults or

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,6 +91,18 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// DiscardLogger returns a logger whose handler is disabled at every level,
+// so a discarded record is dropped before any of it is formatted. It stands
+// in for slog.DiscardHandler, which needs a newer Go than go.mod's.
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -133,8 +143,7 @@ type job struct {
 	state    string // "queued" -> "running" -> "done" | "failed"
 	started  time.Time
 	finished time.Time
-	body     []byte
-	trace    []byte // Chrome trace-event JSON; nil unless the request asked for it
+	result   // set when done; its trace is nil unless the request asked for one
 	errMsg   string
 }
 
@@ -244,7 +253,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.log = opts.Logger
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = DiscardLogger()
 	}
 	s.runFn = s.simulate
 	return s, nil
@@ -373,19 +382,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key := canon.key()
 
 	s.mu.Lock()
-	if body, trace, ok := s.cache.get(key); ok {
+	if res, ok := s.cache.get(key); ok {
 		// Traced hits still get a job handle: the trace endpoint is
 		// job-addressed, so synthesize an already-done job around the cached
 		// bytes. The trace is the same document the cold run recorded.
 		var jobID string
 		if canon.Trace {
-			jobID = s.finishedJobLocked(canon, key, body, trace).id
+			jobID = s.finishedJobLocked(canon, key, res).id
 		}
 		s.mu.Unlock()
 		if jobID != "" {
 			w.Header().Set("X-Pmemd-Job", jobID)
 		}
-		serveResult(w, body, "hit")
+		serveResult(w, res, "hit")
 		return
 	}
 	s.mu.Unlock()
@@ -396,17 +405,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.disk != nil {
 		if body, trace, ok := s.disk.Get(key); ok {
 			s.cDiskHits.Inc()
+			res := newResult(body, trace)
 			s.mu.Lock()
-			s.cache.put(key, body, trace)
+			s.cache.put(key, res)
 			var jobID string
 			if canon.Trace {
-				jobID = s.finishedJobLocked(canon, key, body, trace).id
+				jobID = s.finishedJobLocked(canon, key, res).id
 			}
 			s.mu.Unlock()
 			if jobID != "" {
 				w.Header().Set("X-Pmemd-Job", jobID)
 			}
-			serveResult(w, body, "disk")
+			serveResult(w, res, "disk")
 			return
 		}
 	}
@@ -414,16 +424,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	// Re-check the LRU: a concurrent identical request may have finished
 	// while this one was probing the disk tier.
-	if body, trace, ok := s.cache.getIfPresent(key); ok {
+	if res, ok := s.cache.getIfPresent(key); ok {
 		var jobID string
 		if canon.Trace {
-			jobID = s.finishedJobLocked(canon, key, body, trace).id
+			jobID = s.finishedJobLocked(canon, key, res).id
 		}
 		s.mu.Unlock()
 		if jobID != "" {
 			w.Header().Set("X-Pmemd-Job", jobID)
 		}
-		serveResult(w, body, "hit")
+		serveResult(w, res, "hit")
 		return
 	}
 	if s.draining {
@@ -487,7 +497,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	body, errMsg := j.body, j.errMsg
+	res, errMsg := j.result, j.errMsg
 	s.mu.Unlock()
 	if errMsg != "" {
 		writeError(w, http.StatusInternalServerError, errMsg)
@@ -498,7 +508,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		state = "coalesced"
 	}
 	w.Header().Set("X-Pmemd-Job", j.id)
-	serveResult(w, body, state)
+	serveResult(w, res, state)
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
@@ -667,7 +677,7 @@ func (s *Server) startJobLocked(c canonical, key string, timeout time.Duration) 
 // finishedJobLocked registers an already-done job around cached bytes, so a
 // cache hit on a traced request still yields a job handle whose trace
 // endpoint serves the cold run's exact document.
-func (s *Server) finishedJobLocked(c canonical, key string, body, trace []byte) *job {
+func (s *Server) finishedJobLocked(c canonical, key string, res result) *job {
 	s.nextID++
 	now := time.Now()
 	j := &job{
@@ -677,8 +687,7 @@ func (s *Server) finishedJobLocked(c canonical, key string, body, trace []byte) 
 		created:  now,
 		finished: now,
 		state:    "done",
-		body:     body,
-		trace:    trace,
+		result:   res,
 		done:     make(chan struct{}),
 	}
 	close(j.done)
@@ -718,9 +727,12 @@ func (s *Server) run(j *job) {
 		res, sim, trace, err = s.guardedRun(ctx, j)
 		s.pool.Release()
 	}
-	var body []byte
+	var out result
 	if err == nil {
-		body, err = json.Marshal(res)
+		var body []byte
+		if body, err = json.Marshal(res); err == nil {
+			out = newResult(body, trace)
+		}
 	}
 
 	s.mu.Lock()
@@ -739,9 +751,8 @@ func (s *Server) run(j *job) {
 		s.cJobsFailed.Inc()
 	} else {
 		j.state = "done"
-		j.body = body
-		j.trace = trace
-		s.cache.put(j.key, body, trace)
+		j.result = out
+		s.cache.put(j.key, out)
 		s.cJobsDone.Inc()
 	}
 	s.history = append(s.history, j.id)
@@ -755,7 +766,7 @@ func (s *Server) run(j *job) {
 		// file IO). A disk write failure only costs durability, never the
 		// response, so it is logged and absorbed.
 		if s.disk != nil {
-			if derr := s.disk.Put(j.key, body, trace); derr != nil {
+			if derr := s.disk.Put(j.key, out.body, trace); derr != nil {
 				s.log.Warn("disk cache write failed", "job_id", j.id, "error", derr.Error())
 			}
 		}
@@ -941,12 +952,14 @@ func ParseDeadline(r *http.Request) (time.Duration, bool, error) {
 	return time.Duration(ms * float64(time.Millisecond)), true, nil
 }
 
-func serveResult(w http.ResponseWriter, body []byte, cacheState string) {
-	sum := sha256.Sum256(body)
+// serveResult writes res with the content hash taken when its body was
+// produced or read back from disk, never recomputed from the bytes being
+// served.
+func serveResult(w http.ResponseWriter, res result, cacheState string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Pmemd-Cache", cacheState)
-	w.Header().Set(ContentSHAHeader, hex.EncodeToString(sum[:]))
-	w.Write(body)
+	w.Header().Set(ContentSHAHeader, res.sha)
+	w.Write(res.body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

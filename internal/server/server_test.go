@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -621,5 +624,49 @@ func TestRequestIDPropagation(t *testing.T) {
 	r2.Body.Close()
 	if got := r2.Header.Get("X-Request-ID"); got == "" {
 		t.Error("server did not assign a request id")
+	}
+}
+
+// TestNilLoggerDisabled: with no Logger the server's log is disabled at
+// every level, so per-request lines are dropped before formatting.
+func TestNilLoggerDisabled(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 4} {
+		if s.log.Enabled(context.Background(), lvl) {
+			t.Errorf("nil Logger: level %v enabled", lvl)
+		}
+	}
+}
+
+// TestCachedContentHashFixedAtInsert: a memory hit is served with the hash
+// taken when the body entered the cache, so bytes that change while
+// resident no longer match their ContentSHAHeader and a verifying client
+// (the fleet router) rejects them.
+func TestCachedContentHashFixedAtInsert(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	resp1, body1 := postRun(t, ts, quickBody)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("cold run: status %d", resp1.StatusCode)
+	}
+	sum := sha256.Sum256(body1)
+	if got := resp1.Header.Get(ContentSHAHeader); got != hex.EncodeToString(sum[:]) {
+		t.Fatalf("cold %s = %s, body hashes to %x", ContentSHAHeader, got, sum)
+	}
+	resp2, body2 := postRun(t, ts, quickBody)
+	if resp2.Header.Get("X-Pmemd-Cache") != "hit" || resp2.Header.Get(ContentSHAHeader) != resp1.Header.Get(ContentSHAHeader) || !bytes.Equal(body1, body2) {
+		t.Fatal("warm hit differs from the cold run")
+	}
+
+	s.mu.Lock()
+	key := s.jobs[resp1.Header.Get("X-Pmemd-Job")].key
+	s.cache.items[key].Value.(*cacheEntry).body[0] ^= 0x01
+	s.mu.Unlock()
+	resp3, body3 := postRun(t, ts, quickBody)
+	if resp3.Header.Get("X-Pmemd-Cache") != "hit" {
+		t.Fatalf("third request: cache %q, want hit", resp3.Header.Get("X-Pmemd-Cache"))
+	}
+	sum3 := sha256.Sum256(body3)
+	if got := resp3.Header.Get(ContentSHAHeader); got == hex.EncodeToString(sum3[:]) || got != resp1.Header.Get(ContentSHAHeader) {
+		t.Errorf("changed resident body served with %s %s, want the insert-time hash", ContentSHAHeader, got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Segment file layout (all integers big-endian):
@@ -22,10 +21,13 @@ import (
 //	footer:  indexOffset u64 · recordCount u32 · indexCount u32 ·
 //	         dataCRC u32 · indexCRC u32 · magic "PMSSTEND" (8)
 //
-// The sparse index is loaded into memory at open; a lookup binary-searches
-// it and scans at most indexEvery records from the chosen offset. The two
-// region CRCs cover the record and index regions, so a torn flush or
-// truncated file fails validation at open and is skipped by recovery.
+// openSegment streams the whole record region once to check its CRC and, in
+// the same pass, builds a dense in-memory index (key -> record offset), so
+// a lookup is one map probe plus one record read. The sparse on-disk index
+// is still written and its region checksummed at open, but lookups no
+// longer read it. The two region CRCs cover the record and index regions,
+// so a torn flush or truncated file fails validation at open and is
+// skipped by recovery.
 // recordCRC (CRC32-Castagnoli over key·body·trace) is verified on *every*
 // read, so bytes rotted or torn after open — media faults, or an injected
 // chaos tamper — surface as a per-record corruption instead of being
@@ -73,8 +75,8 @@ type segment struct {
 	seq      uint64
 	count    int
 	fileSize int64
-	dataEnd  int64 // index region start == end of records
-	index    []indexEntry
+	dataEnd  int64               // index region start == end of records
+	index    map[string]int64    // every record's key -> its offset
 	tamper   func([]byte) []byte // optional read-path fault hook (chaos/tests)
 }
 
@@ -191,8 +193,9 @@ func syncDir(dir string) error {
 }
 
 // openSegment validates path's header, footer, and both region checksums,
-// then loads the sparse index. Any mismatch returns an error; recovery
-// treats that as "this segment does not exist".
+// and builds the dense index while the record region streams through its
+// CRC. Any mismatch returns an error; recovery treats that as "this segment
+// does not exist".
 func openSegment(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -231,7 +234,6 @@ func openSegment(path string) (*segment, error) {
 	}
 	indexOffset := int64(binary.BigEndian.Uint64(foot[0:]))
 	count := int(binary.BigEndian.Uint32(foot[8:]))
-	indexCount := int(binary.BigEndian.Uint32(foot[12:]))
 	wantDataCRC := binary.BigEndian.Uint32(foot[16:])
 	wantIndexCRC := binary.BigEndian.Uint32(foot[20:])
 	if indexOffset < headerSize || indexOffset > size-footerSize {
@@ -239,41 +241,24 @@ func openSegment(path string) (*segment, error) {
 	}
 
 	dataCRC := crc32.New(crcTable)
-	if _, err := io.Copy(dataCRC, io.NewSectionReader(f, 0, indexOffset)); err != nil {
+	data := bufio.NewReaderSize(io.TeeReader(io.NewSectionReader(f, 0, indexOffset), dataCRC), 64<<10)
+	index, indexErr := indexRecords(data, indexOffset, count)
+	// Drain what the index pass left unread, so the CRC covers the region.
+	if _, err := io.Copy(io.Discard, data); err != nil {
 		return nil, err
 	}
 	if dataCRC.Sum32() != wantDataCRC {
 		return nil, fmt.Errorf("sstcache: segment %s data checksum mismatch", path)
 	}
-	indexLen := size - footerSize - indexOffset
-	indexRegion := make([]byte, indexLen)
-	if _, err := f.ReadAt(indexRegion, indexOffset); err != nil {
+	if indexErr != nil {
+		return nil, fmt.Errorf("sstcache: segment %s: %w", path, indexErr)
+	}
+	indexCRC := crc32.New(crcTable)
+	if _, err := io.Copy(indexCRC, io.NewSectionReader(f, indexOffset, size-footerSize-indexOffset)); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(indexRegion, crcTable) != wantIndexCRC {
+	if indexCRC.Sum32() != wantIndexCRC {
 		return nil, fmt.Errorf("sstcache: segment %s index checksum mismatch", path)
-	}
-
-	index := make([]indexEntry, 0, indexCount)
-	for pos := 0; pos < len(indexRegion); {
-		if pos+12 > len(indexRegion) {
-			return nil, fmt.Errorf("sstcache: segment %s index truncated", path)
-		}
-		klen := int(binary.BigEndian.Uint32(indexRegion[pos:]))
-		off := int64(binary.BigEndian.Uint64(indexRegion[pos+4:]))
-		pos += 12
-		if klen > maxRecordPart || pos+klen > len(indexRegion) {
-			return nil, fmt.Errorf("sstcache: segment %s index entry overruns region", path)
-		}
-		if off < headerSize || off >= indexOffset {
-			return nil, fmt.Errorf("sstcache: segment %s index offset %d out of data region", path, off)
-		}
-		index = append(index, indexEntry{key: string(indexRegion[pos : pos+klen]), off: off})
-		pos += klen
-	}
-	if len(index) != indexCount {
-		return nil, fmt.Errorf("sstcache: segment %s has %d index entries, footer says %d",
-			path, len(index), indexCount)
 	}
 
 	ok = true
@@ -288,78 +273,126 @@ func openSegment(path string) (*segment, error) {
 	}, nil
 }
 
-// readRecordAt decodes one record starting at off; returns the record and
-// the offset just past it. The record CRC is verified against the payload
-// as read (after the optional tamper hook), so any byte that changed since
-// the segment was written — on the media or in flight — fails the read
-// with ErrCorruptRecord instead of being served.
-func (s *segment) readRecordAt(off int64) (record, int64, error) {
+// indexRecords walks the record region [0, end) from its start (header
+// included), reading each record's lengths and key and skipping its body
+// and trace, and returns every key's record offset. It fails unless the
+// records tile the region exactly and number count.
+func indexRecords(r *bufio.Reader, end int64, count int) (map[string]int64, error) {
+	if _, err := r.Discard(headerSize); err != nil {
+		return nil, err
+	}
+	// The footer is outside both CRCs: bound its count by the fewest bytes
+	// a record takes before sizing the map by it.
+	if int64(count) > (end-headerSize)/recHdrSize {
+		return nil, fmt.Errorf("footer claims %d records, more than the data region holds", count)
+	}
+	index := make(map[string]int64, count)
+	var lenBuf [recHdrSize]byte
+	var key []byte
+	n := 0
+	for off := int64(headerSize); off < end; n++ {
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+			return nil, fmt.Errorf("record at %d: %w", off, err)
+		}
+		klen := int(binary.BigEndian.Uint32(lenBuf[0:]))
+		blen := int(binary.BigEndian.Uint32(lenBuf[4:]))
+		tlen := int(binary.BigEndian.Uint32(lenBuf[8:]))
+		next := off + recHdrSize + int64(klen) + int64(blen) + int64(tlen)
+		if klen > maxRecordPart || blen > maxRecordPart || tlen > maxRecordPart || next > end {
+			return nil, fmt.Errorf("record at %d overruns data region", off)
+		}
+		if cap(key) < klen {
+			key = make([]byte, klen)
+		}
+		key = key[:klen]
+		if _, err := io.ReadFull(r, key); err != nil {
+			return nil, fmt.Errorf("record at %d: %w", off, err)
+		}
+		if _, err := r.Discard(blen + tlen); err != nil {
+			return nil, fmt.Errorf("record at %d: %w", off, err)
+		}
+		index[string(key)] = off
+		off = next
+	}
+	if n != count {
+		return nil, fmt.Errorf("%d records, footer says %d", n, count)
+	}
+	return index, nil
+}
+
+// readRecordAt reads the record starting at off and returns its payload
+// (key·body·trace), key and body lengths, and the offset just past it. The
+// record CRC is verified against the payload as read (after the optional
+// tamper hook), so any byte that changed since the segment was written — on
+// the media or in flight — fails the read with ErrCorruptRecord instead of
+// being served.
+func (s *segment) readRecordAt(off int64) (payload []byte, klen, blen int, next int64, err error) {
 	var lenBuf [recHdrSize]byte
 	if _, err := s.f.ReadAt(lenBuf[:], off); err != nil {
-		return record{}, 0, err
+		return nil, 0, 0, 0, err
 	}
-	klen := int(binary.BigEndian.Uint32(lenBuf[0:]))
-	blen := int(binary.BigEndian.Uint32(lenBuf[4:]))
+	klen = int(binary.BigEndian.Uint32(lenBuf[0:]))
+	blen = int(binary.BigEndian.Uint32(lenBuf[4:]))
 	tlen := int(binary.BigEndian.Uint32(lenBuf[8:]))
 	wantCRC := binary.BigEndian.Uint32(lenBuf[12:])
 	if klen > maxRecordPart || blen > maxRecordPart || tlen > maxRecordPart {
-		return record{}, 0, fmt.Errorf("sstcache: segment %s record at %d has absurd lengths", s.path, off)
+		return nil, 0, 0, 0, fmt.Errorf("sstcache: segment %s record at %d has absurd lengths", s.path, off)
 	}
 	total := int64(klen + blen + tlen)
 	if off+recHdrSize+total > s.dataEnd {
-		return record{}, 0, fmt.Errorf("sstcache: segment %s record at %d overruns data region", s.path, off)
+		return nil, 0, 0, 0, fmt.Errorf("sstcache: segment %s record at %d overruns data region", s.path, off)
 	}
-	buf := make([]byte, total)
-	if _, err := s.f.ReadAt(buf, off+recHdrSize); err != nil {
-		return record{}, 0, err
+	payload = make([]byte, total)
+	if _, err := s.f.ReadAt(payload, off+recHdrSize); err != nil {
+		return nil, 0, 0, 0, err
 	}
 	if s.tamper != nil {
-		buf = s.tamper(buf)
+		payload = s.tamper(payload)
 	}
-	if int64(len(buf)) != total || crc32.Checksum(buf, crcTable) != wantCRC {
-		return record{}, 0, fmt.Errorf("sstcache: segment %s record at %d: %w", s.path, off, ErrCorruptRecord)
+	if int64(len(payload)) != total || crc32.Checksum(payload, crcTable) != wantCRC {
+		return nil, 0, 0, 0, fmt.Errorf("sstcache: segment %s record at %d: %w", s.path, off, ErrCorruptRecord)
 	}
-	r := record{key: string(buf[:klen]), body: buf[klen : klen+blen]}
-	if tlen > 0 {
-		r.trace = buf[klen+blen:]
-	}
-	return r, off + recHdrSize + total, nil
+	return payload, klen, blen, off + recHdrSize + total, nil
 }
 
-// get looks key up via the sparse index: binary search for the last index
-// key <= key, then scan forward until the key is found or passed.
+// splitRecord cuts a verified payload into its body and trace (nil when
+// the record has none).
+func splitRecord(payload []byte, klen, blen int) (body, trace []byte) {
+	body = payload[klen : klen+blen]
+	if len(payload) > klen+blen {
+		trace = payload[klen+blen:]
+	}
+	return body, trace
+}
+
+// get looks key up in the dense index and reads only its record. A record
+// whose key is not the indexed one fails with ErrCorruptRecord.
 func (s *segment) get(key string) (body, trace []byte, found bool, err error) {
-	if len(s.index) == 0 || key < s.index[0].key {
+	off, ok := s.index[key]
+	if !ok {
 		return nil, nil, false, nil
 	}
-	// First index entry with key > target; scan starts one before it.
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].key > key })
-	off := s.index[i-1].off
-	for off < s.dataEnd {
-		r, next, err := s.readRecordAt(off)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if r.key == key {
-			return r.body, r.trace, true, nil
-		}
-		if r.key > key { // records are sorted: the key is not here
-			return nil, nil, false, nil
-		}
-		off = next
+	payload, klen, blen, _, err := s.readRecordAt(off)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	return nil, nil, false, nil
+	if string(payload[:klen]) != key {
+		return nil, nil, false, fmt.Errorf("sstcache: segment %s record at %d holds another key: %w", s.path, off, ErrCorruptRecord)
+	}
+	body, trace = splitRecord(payload, klen, blen)
+	return body, trace, true, nil
 }
 
 // scan streams every record in key order through fn.
 func (s *segment) scan(fn func(record)) error {
 	off := int64(headerSize)
 	for off < s.dataEnd {
-		r, next, err := s.readRecordAt(off)
+		payload, klen, blen, next, err := s.readRecordAt(off)
 		if err != nil {
 			return err
 		}
-		fn(r)
+		body, trace := splitRecord(payload, klen, blen)
+		fn(record{key: string(payload[:klen]), body: body, trace: trace})
 		off = next
 	}
 	return nil

@@ -2,9 +2,12 @@
 // tier under pmemd's in-memory LRU. Writes land in an in-memory memtable
 // and are flushed — once the memtable exceeds its byte budget — into
 // sorted, immutable segment files with a sparse index and a checksummed
-// footer, so a lookup is one binary search over the in-memory sparse index
-// plus a short bounded scan of one file region (the ~constant-time read
-// behavior of an SSTable, versus the linear scan of an append-only log).
+// footer. Opening a segment streams its records once (the pass that checks
+// their checksum) and builds a dense in-memory index of every key's record
+// offset, so a lookup is one map probe per segment plus one read of exactly
+// the matching record: a miss touches no file, a hit reads only its own
+// bytes. The on-disk sparse index is still written and checksummed, but
+// lookups no longer read it.
 // Flushes go through a temp file + rename, so a crash mid-flush leaves
 // either the old state or the new state, never a torn segment; recovery at
 // open time is just "read every segment footer, keep the ones whose

@@ -2,9 +2,11 @@ package sstcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -111,10 +113,11 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestSparseIndexLookup drives enough keys that lookups must traverse the
-// sparse index (several indexEvery blocks), including keys at block
-// boundaries and keys that fall between stored keys.
-func TestSparseIndexLookup(t *testing.T) {
+// TestDenseIndexLookup stores enough keys to span several indexEvery
+// blocks of the on-disk sparse index and checks the dense index finds every
+// one, including keys at block boundaries, while keys that fall between
+// stored keys, before the first, or past the last miss.
+func TestDenseIndexLookup(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
 	const n = 10 * indexEvery
@@ -392,5 +395,75 @@ func TestReadTamperHook(t *testing.T) {
 	s2 := openTest(t, dir, Options{})
 	if body, _, ok := s2.Get("key"); !ok || string(body) != "value" {
 		t.Errorf("clean reopen Get = %q/%v, want value", body, ok)
+	}
+}
+
+// TestStoreGetAllocs caps the disk tier's read path: a miss probes only
+// the in-memory index and allocates nothing; a hit reads one record.
+func TestStoreGetAllocs(t *testing.T) {
+	s, _ := buildBenchStore(t, t.TempDir(), 64, 4)
+	hit, miss := benchKey(7), benchKey(64)
+	if n := testing.AllocsPerRun(100, func() { s.Get(miss) }); n != 0 {
+		t.Errorf("a miss allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Get(hit) }); n > 2 {
+		t.Errorf("a hit allocates %v times, cap 2", n)
+	}
+	s.Close()
+}
+
+// TestIndexedKeyMismatchIsCorrupt: when the record at a key's indexed
+// offset holds another key (its CRC intact), Get counts a read corruption
+// and misses instead of serving the other key's bytes.
+func TestIndexedKeyMismatchIsCorrupt(t *testing.T) {
+	reg := metrics.New()
+	s := openTest(t, t.TempDir(), Options{Registry: reg})
+	for _, k := range []string{"ka", "kb"} {
+		if err := s.Put(k, []byte(k+"-body"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seg := s.segs[0]
+	seg.index["kb"] = seg.index["ka"]
+	if body, _, ok := s.Get("kb"); ok {
+		t.Fatalf("Get(kb) served %q from another key's record", body)
+	}
+	if got, _ := reg.Snapshot().Get("sstcache_read_corruptions"); got != 1 {
+		t.Errorf("sstcache_read_corruptions = %g, want 1", got)
+	}
+	if body, _, ok := s.Get("ka"); !ok || string(body) != "ka-body" {
+		t.Errorf("Get(ka) = %q/%v", body, ok)
+	}
+}
+
+// TestAbsurdFooterCountRejected: the footer's record count is not covered
+// by either region CRC, so a count larger than the data region can hold
+// fails validation before anything is sized by it.
+func TestAbsurdFooterCountRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	if err := s.Put("k", []byte("v"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("glob: %v, %d segments", err, len(segs))
+	}
+	raw, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(raw[len(raw)-footerSize+8:], 0xffffffff)
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openSegment(segs[0]); err == nil || !strings.Contains(err.Error(), "footer claims") {
+		t.Fatalf("openSegment = %v, want the footer count rejected", err)
 	}
 }
