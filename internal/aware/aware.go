@@ -11,18 +11,16 @@
 //   - date handled by predicate pushdown and an in-cache lookup table
 //     instead of a join (the date dimension has at most 2557 rows).
 //
-// The engine really executes every query over generated data — results are
-// exact and compared against the reference executor — while its memory
-// traffic is charged to the simulated machine, which produces the virtual
-// runtimes of Figure 14b and Table 1.
+// Every query really executes over generated data, once, in the fact pass
+// both engines share (engine.FactPass) — results are exact and compared
+// against the reference executor — while this engine's memory traffic is
+// charged to the simulated machine, which produces the virtual runtimes of
+// Figure 14b and Table 1.
 package aware
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -286,27 +284,26 @@ func decodeTuple(src []byte) decoded {
 	}
 }
 
-// dimIndex is one built join index.
+// dimIndex is one join index: the Dash index itself lives only while the
+// query's execution is derived (and in Plan); the traffic model needs just
+// its size and counters.
 type dimIndex struct {
 	name        string
-	ix          *dash.Index
+	ix          *dash.Index // nil once the execution is memoized
 	entries     int
 	buildStats  dash.Stats
 	selectivity float64
-	// factStats snapshots the index's counters after the fact-phase probes
-	// (stats reset between build and probe). Memoized executions are shared
-	// across engines, so the traffic model reads this frozen copy rather
-	// than the live counters.
+	// factStats holds the counters the fact-phase probes record. Memoized
+	// executions are shared across engines, so the traffic model reads this
+	// frozen copy rather than live counters.
 	factStats dash.Stats
 }
 
-// factExec is one query's executed fact pipeline: the built indexes (in
-// build order, with fact-phase stats snapshots), the selectivity-sorted
-// probe order, and the exact result. It is a pure function of (data, query):
-// index contents depend only on the dimension filters, the probe loop is
-// deterministic per row, and the per-worker partial aggregates merge
-// commutatively — which is exactly what TestParallelExecutionDeterministic
-// asserts. Engines therefore share one execution per query via Data.Memo,
+// factExec is one query's executed fact pipeline: the indexes (in build
+// order, with fact-phase stats), the selectivity-sorted probe order, and the
+// exact result. It is a pure function of (data, query): index contents
+// depend only on the dimension filters and the probe counts on the query's
+// fact pass. Engines therefore share one execution per query via Data.Memo,
 // no matter which device/thread/socket configuration they simulate.
 type factExec struct {
 	indexes    []*dimIndex
@@ -318,83 +315,34 @@ type factExec struct {
 // factExecFor builds (or recalls) the executed fact pipeline for q.
 func (e *Engine) factExecFor(q ssb.Query) *factExec {
 	return e.data.Memo("aware/exec/"+q.ID, func() any {
-		return e.execute(q, runtime.GOMAXPROCS(0))
+		return e.execute(q, engine.FactPassFor(e.data, q))
 	}).(*factExec)
 }
 
-// execute runs q's fact pipeline on the given number of host goroutines.
-func (e *Engine) execute(q ssb.Query, workers int) *factExec {
-	indexes := e.buildIndexes(q)
-	probeOrder := make([]*dimIndex, len(indexes))
-	copy(probeOrder, indexes)
-	sort.Slice(probeOrder, func(i, j int) bool {
-		return probeOrder[i].selectivity < probeOrder[j].selectivity
-	})
-	// Batch the probes: dimension keys are dense, so one Get per domain
-	// key materializes each index's answers (value, hit, bucket reads)
-	// into flat tables the row loop indexes instead of re-probing. The
-	// per-key read cost is a pure function of the key on a frozen index,
-	// so crediting the replayed reads back keeps the counters — and the
-	// traffic model reading them — byte-identical to per-row probing.
-	tables := make([]*probeTable, len(probeOrder))
-	for i, ix := range probeOrder {
-		tables[i] = buildProbeTable(e.data, ix)
+// execute derives q's fact pipeline from its fact pass: it builds the
+// filtered Dash indexes and charges each the bucket reads of its fact-phase
+// probes. A Get on a frozen index reads a number of buckets that is a pure
+// function of the key, so one Get per probed key, weighted by how often the
+// pass saw that key probed, gives exactly the counters per-row probing
+// records.
+func (e *Engine) execute(q ssb.Query, p *engine.FactPass) *factExec {
+	ex := &factExec{indexes: e.buildIndexes(q), qualifying: p.Hist[engine.AllBits], result: p.Result}
+	for i, ix := range ex.indexes {
+		var reads int64
+		for k, n := range p.Joined[i].Probes {
+			if n != 0 {
+				before := ix.ix.Stats().BucketReads
+				ix.ix.Get(uint64(k))
+				reads += n * (ix.ix.Stats().BucketReads - before)
+			}
+		}
+		ix.factStats = dash.Stats{BucketReads: reads}
+		ix.ix = nil
 	}
-	for _, ix := range probeOrder {
-		ix.ix.ResetStats()
+	for _, i := range p.Order {
+		ex.probeOrder = append(ex.probeOrder, ex.indexes[i])
 	}
-	result := ssb.Result{}
-	qualifying := e.executeFact(q, tables, result, workers)
-	for _, ix := range indexes {
-		ix.factStats = ix.ix.Stats()
-	}
-	return &factExec{indexes: indexes, probeOrder: probeOrder, qualifying: qualifying, result: result}
-}
-
-// probeTable is one dimension index's probe results materialized over its
-// dense key domain 1..n: ord/hit answer the join, reads is the exact
-// BucketReads delta a live Get for that key records.
-type probeTable struct {
-	ix    *dimIndex
-	ord   []uint32
-	hit   []bool
-	reads []uint8
-}
-
-// buildProbeTable probes every domain key once and snapshots the per-key
-// answers and stats deltas. The Gets it issues are discounted by the
-// ResetStats that follows table construction in factExecFor.
-func buildProbeTable(d *ssb.Data, ix *dimIndex) *probeTable {
-	n := d.Rows(ix.name)
-	t := &probeTable{
-		ix:    ix,
-		ord:   make([]uint32, n+1),
-		hit:   make([]bool, n+1),
-		reads: make([]uint8, n+1),
-	}
-	before := ix.ix.Stats().BucketReads
-	for k := 1; k <= n; k++ {
-		v, hit := ix.ix.Get(uint64(k))
-		after := ix.ix.Stats().BucketReads
-		t.ord[k] = uint32(v)
-		t.hit[k] = hit
-		t.reads[k] = uint8(after - before)
-		before = after
-	}
-	return t
-}
-
-// lookup answers one probe from the table, accumulating the bucket reads
-// the equivalent live Get would have recorded. Keys outside the dense
-// domain (never produced by the generator) fall back to the live index so
-// the counters stay exact even then.
-func (t *probeTable) lookup(key uint32, reads *int64) (uint32, bool) {
-	if key == 0 || int(key) >= len(t.hit) {
-		v, hit := t.ix.ix.Get(uint64(key))
-		return uint32(v), hit
-	}
-	*reads += int64(t.reads[key])
-	return t.ord[key], t.hit[key]
+	return ex
 }
 
 // Run executes one query and returns its exact result plus simulated timing.
@@ -416,8 +364,8 @@ func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error)
 	}
 	run.AddPhase("build", buildSec)
 
-	// --- Fact phase: scan, probe, aggregate (really executed, shared
-	// across engines via the data memo).
+	// --- Fact phase: scan, probe, aggregate (executed once per query by the
+	// shared fact pass).
 	factSec, stats, err := e.simulateFactPhase(q, exec.probeOrder, exec.qualifying, len(run.Result), extra)
 	if err != nil {
 		return run, err
@@ -428,115 +376,6 @@ func (e *Engine) runWith(q ssb.Query, extra []*machine.Stream) (QueryRun, error)
 	// --- Merge phase: combine the per-thread partial aggregates. ---
 	run.AddPhase("merge", e.simulateMerge(len(run.Result)))
 	return run, nil
-}
-
-// executeFact runs the scan-probe-aggregate pipeline over the real data,
-// in parallel: worker goroutines process disjoint row ranges with private
-// partial aggregates (exactly how the handcrafted C++ parallelizes), merged
-// at the end. Probes are answered from the precomputed per-key tables
-// (selectivity order preserved, including the early break on a miss); each
-// worker tallies the bucket reads its probes replay and the totals are
-// credited back to the indexes' atomic counters after the merge. Returns
-// the number of qualifying rows.
-func (e *Engine) executeFact(q ssb.Query, tables []*probeTable, out ssb.Result, workers int) int64 {
-	data := e.data
-	if workers > len(data.Lineorder) {
-		workers = 1
-	}
-
-	type partial struct {
-		result     ssb.Result
-		qualifying int64
-		reads      []int64 // replayed bucket reads, per table
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (len(data.Lineorder) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(data.Lineorder) {
-			hi = len(data.Lineorder)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// Group sums accumulate through an arena-backed Grouper: map
-			// lookups with a reusable key buffer don't allocate, so a key
-			// string is built only the first time its group appears.
-			grouper := ssb.NewGrouper()
-			reads := make([]int64, len(tables))
-			var qual int64
-			for i := lo; i < hi; i++ {
-				row := &data.Lineorder[i]
-				if q.LOFilter != nil && !q.LOFilter(row) {
-					continue
-				}
-				date := data.DateByKey(row.OrderDate)
-				if q.DateFilter != nil && !q.DateFilter(date) {
-					continue
-				}
-				var c *ssb.Customer
-				var s *ssb.Supplier
-				var p *ssb.Part
-				ok := true
-				for ti, t := range tables {
-					switch t.ix.name {
-					case "customer":
-						v, hit := t.lookup(row.CustKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							c = &data.Customer[v]
-						}
-					case "supplier":
-						v, hit := t.lookup(row.SuppKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							s = &data.Supplier[v]
-						}
-					case "part":
-						v, hit := t.lookup(row.PartKey, &reads[ti])
-						if !hit {
-							ok = false
-						} else {
-							p = &data.Part[v]
-						}
-					}
-					if !ok {
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				qual++
-				grouper.Add(&q, row, date, c, s, p, q.Aggregate(row))
-			}
-			res := make(ssb.Result, grouper.Len())
-			grouper.Emit(res)
-			parts[w] = partial{result: res, qualifying: qual, reads: reads}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	var qualifying int64
-	for _, p := range parts {
-		qualifying += p.qualifying
-		for k, v := range p.result {
-			out[k] += v
-		}
-		for ti, n := range p.reads {
-			if n != 0 {
-				tables[ti].ix.ix.AddBucketReads(n)
-			}
-		}
-	}
-	return qualifying
 }
 
 // buildIndexes constructs the filtered Dash indexes the query needs.

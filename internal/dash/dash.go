@@ -117,12 +117,6 @@ func (ix *Index) Stats() Stats {
 // the probe phase is measured separately).
 func (ix *Index) ResetStats() { ix.stats = Stats{} }
 
-// AddBucketReads credits n bucket loads to the counters. Callers that
-// replay memoized per-key probe results (Get on a frozen index reads a
-// number of buckets that is a pure function of the key) use this to keep
-// the counters identical to what the live probes would have recorded.
-func (ix *Index) AddBucketReads(n int64) { atomic.AddInt64(&ix.stats.BucketReads, n) }
-
 // MemoryBytes returns the index's total footprint (segments + directory).
 func (ix *Index) MemoryBytes() int64 {
 	return int64(len(ix.segments))*SegmentBytes + int64(len(ix.dir))*4

@@ -1,6 +1,7 @@
 // Package engine is the substrate the two SSB engines share: the run and
 // phase types, target-scale cardinalities, the filtered dimensions a query
-// joins, the cache model, table regions, and the simulation scratch that
+// joins, the one fact pass per query both engines derive their executions
+// from, the cache model, table regions, and the simulation scratch that
 // charges a batch of streams to the machine.
 //
 // What stays in internal/naive and internal/aware is where the paper says
@@ -82,10 +83,12 @@ func DimScales(d *ssb.Data, target float64) map[string]float64 {
 	return out
 }
 
-// Dim is one keyed dimension a query joins: Keep reports whether the
-// query's predicate keeps row i, Key is that row's join key.
+// Dim is one keyed dimension a query joins: Bit is its pass-mask bit, Keep
+// reports whether the query's predicate keeps row i, Key is that row's join
+// key.
 type Dim struct {
 	Name string
+	Bit  uint8
 	Rows int
 	Keep func(i int) bool
 	Key  func(i int) uint32
@@ -98,17 +101,17 @@ type Dim struct {
 func JoinedDims(d *ssb.Data, q ssb.Query) []Dim {
 	var out []Dim
 	if q.NeedsCust {
-		out = append(out, Dim{"customer", len(d.Customer),
+		out = append(out, Dim{"customer", CustBit, len(d.Customer),
 			func(i int) bool { return q.CustFilter == nil || q.CustFilter(&d.Customer[i]) },
 			func(i int) uint32 { return d.Customer[i].CustKey }})
 	}
 	if q.NeedsSupp {
-		out = append(out, Dim{"supplier", len(d.Supplier),
+		out = append(out, Dim{"supplier", SuppBit, len(d.Supplier),
 			func(i int) bool { return q.SuppFilter == nil || q.SuppFilter(&d.Supplier[i]) },
 			func(i int) uint32 { return d.Supplier[i].SuppKey }})
 	}
 	if q.NeedsPart {
-		out = append(out, Dim{"part", len(d.Part),
+		out = append(out, Dim{"part", PartBit, len(d.Part),
 			func(i int) bool { return q.PartFilter == nil || q.PartFilter(&d.Part[i]) },
 			func(i int) uint32 { return d.Part[i].PartKey }})
 	}

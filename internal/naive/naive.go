@@ -13,9 +13,11 @@
 //     reads with 4x media amplification on PMEM;
 //   - intermediates materialized to the same memory between operators.
 //
-// Like the aware engine, it really executes the queries (results are exact)
-// and charges its traffic to the simulated machine; the timing gap between
-// the two engines on PMEM is Figure 14's headline contrast.
+// Like the aware engine, it derives each query's operator cardinalities and
+// exact result from the query's one real execution over the generated data
+// (engine.FactPass) and charges its own traffic to the simulated machine;
+// the timing gap between the two engines on PMEM is Figure 14's headline
+// contrast.
 package naive
 
 import (
@@ -139,33 +141,6 @@ func New(m *machine.Machine, data *ssb.Data, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// dimSet is one build-side dimension: its surviving keys and selectivity.
-// Membership is a dense bitmap instead of a hash map: cust/supp/part keys
-// are dense and 1-based, and date keys decode to a calendar slot, so the
-// probe loop's map lookup becomes a bounds check plus an array load. The
-// surviving key set (and therefore every stage cardinality) is unchanged.
-type dimSet struct {
-	name    string
-	keep    []bool // indexed by key (cust/supp/part) or by dateSlot (date)
-	entries int    // surviving dim rows (former len(keep map))
-	sel     float64
-}
-
-// dateSlot maps a yyyymmdd key to the same dense calendar slot the ssb
-// package uses for its date index: (y-1992)*372 + (m-1)*31 + (day-1).
-// Returns -1 for keys outside the 1992..1998 calendar.
-func dateSlot(key uint32) int {
-	y := key / 10000
-	m := key / 100 % 100
-	dd := key % 100
-	if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
-		return -1
-	}
-	return int((y-1992)*372 + (m-1)*31 + (dd - 1))
-}
-
-const dateSlots = 7 * 372
-
 // joinStage is one hash-join operator in the pipeline.
 type joinStage struct {
 	dim        string
@@ -177,7 +152,7 @@ type joinStage struct {
 }
 
 // dimMeta is what the traffic model needs to know about one build-side
-// dimension after execution: the build maps themselves are not retained.
+// dimension: the build maps themselves are never materialized.
 type dimMeta struct {
 	name    string
 	entries int // filtered dim rows in the build-side map
@@ -185,11 +160,11 @@ type dimMeta struct {
 	scanLabel, mapLabel string
 }
 
-// naiveExec is one query's executed plan. Like the aware engine's factExec
-// it is a pure function of (data, query) — the dimension filters, the
-// pipeline's stage cardinalities, and the exact result cannot depend on
-// which simulated machine the engine charges — so engines sharing a data
-// set share one execution via Data.Memo.
+// naiveExec is one query's executed plan: the dimension filters, the
+// pipeline's stage cardinalities, and the exact result. Like the aware
+// engine's factExec it derives from the query's shared fact pass and so is
+// a pure function of (data, query), shared through Data.Memo by every
+// machine the engine charges.
 type naiveExec struct {
 	dims          []dimMeta
 	scanSurvivors int64
@@ -201,109 +176,35 @@ type naiveExec struct {
 // execFor builds (or recalls) the executed plan for q.
 func (e *Engine) execFor(q ssb.Query) *naiveExec {
 	return e.data.Memo("naive/exec/"+q.ID, func() any {
-		d := e.data
+		p := engine.FactPassFor(e.data, q)
 
 		// Build-side hash maps over the filtered dimensions. Hyrise joins the
 		// date dimension like any other table (no predicate pushdown into date
 		// arithmetic — that is exactly the PMEM-aware trick it lacks).
-		var dims []dimSet
+		var dims []engine.PassDim
 		if q.DateFilter != nil || q.GroupBy != nil {
-			keep := make([]bool, dateSlots)
-			n := 0
-			for i := range d.Date {
-				if q.DateFilter == nil || q.DateFilter(&d.Date[i]) {
-					keep[dateSlot(d.Date[i].DateKey)] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{"date", keep, n, float64(n) / float64(len(d.Date))})
+			dims = append(dims, p.Date)
 		}
-		for _, dm := range engine.JoinedDims(d, q) {
-			keep := make([]bool, dm.Rows+1)
-			n := 0
-			for i := 0; i < dm.Rows; i++ {
-				if dm.Keep(i) {
-					keep[dm.Key(i)] = true
-					n++
-				}
-			}
-			dims = append(dims, dimSet{dm.Name, keep, n, float64(n) / float64(dm.Rows)})
-		}
-		sort.Slice(dims, func(i, j int) bool { return dims[i].sel < dims[j].sel })
+		dims = append(dims, p.Joined...)
+		sort.Slice(dims, func(i, j int) bool { return dims[i].Sel < dims[j].Sel })
 
 		// Fact pipeline: a column scan for the fact-local predicates, then one
-		// hash-join stage per dimension, then the aggregate. Really executed.
-		survivors := make([]int32, 0, len(d.Lineorder)/8)
-		for i := range d.Lineorder {
-			if q.LOFilter == nil || q.LOFilter(&d.Lineorder[i]) {
-				survivors = append(survivors, int32(i))
-			}
-		}
-
-		ex := &naiveExec{scanSurvivors: int64(len(survivors)), result: ssb.Result{}}
-
-		// One fused pass over the scan survivors: each row walks the join
-		// stages in selectivity order until its first miss, bumping the
-		// per-stage survivor counters, and rows passing every stage are
-		// aggregated immediately. Stage cardinalities are exactly what the
-		// staged (materialize-per-operator) execution produced — probesIn of
-		// stage i is stage i-1's survivors — because each stage's survivor
-		// set is the same rows in the same order.
-		counts := make([]int64, len(dims))
-		grouper := ssb.NewGrouper()
-		for _, ri := range survivors {
-			lo := &d.Lineorder[ri]
-			passed := 0
-			for si := range dims {
-				keep := dims[si].keep
-				ok := false
-				switch dims[si].name {
-				case "date":
-					s := dateSlot(lo.OrderDate)
-					ok = s >= 0 && keep[s]
-				case "customer":
-					ok = int(lo.CustKey) < len(keep) && keep[lo.CustKey]
-				case "supplier":
-					ok = int(lo.SuppKey) < len(keep) && keep[lo.SuppKey]
-				case "part":
-					ok = int(lo.PartKey) < len(keep) && keep[lo.PartKey]
-				}
-				if !ok {
-					break
-				}
-				counts[si]++
-				passed++
-			}
-			if passed < len(dims) {
-				continue
-			}
-			// Aggregate the fully matched row (exact result).
-			date := d.DateByKey(lo.OrderDate)
-			var c *ssb.Customer
-			var s *ssb.Supplier
-			var p *ssb.Part
-			if q.NeedsCust {
-				c = d.CustomerByKey(lo.CustKey)
-			}
-			if q.NeedsSupp {
-				s = d.SupplierByKey(lo.SuppKey)
-			}
-			if q.NeedsPart {
-				p = d.PartByKey(lo.PartKey)
-			}
-			grouper.Add(&q, lo, date, c, s, p, q.Aggregate(lo))
-		}
-		grouper.Emit(ex.result)
-
-		in := int64(len(survivors))
+		// hash-join stage per dimension in selectivity order, then the
+		// aggregate. Stage i's probes are stage i-1's survivors: the rows
+		// passing every dimension probed so far, which the pass's mask
+		// histogram counts for any order.
+		ex := &naiveExec{scanSurvivors: p.Passing(0), result: p.Result}
+		in, mask := ex.scanSurvivors, uint8(0)
 		for si, ds := range dims {
-			ex.dims = append(ex.dims, dimMeta{name: ds.name, entries: ds.entries,
-				scanLabel: "build-scan/" + ds.name, mapLabel: "build-map/" + ds.name})
+			mask |= ds.Bit
+			out := p.Passing(mask)
+			ex.dims = append(ex.dims, dimMeta{name: ds.Name, entries: ds.Entries,
+				scanLabel: "build-scan/" + ds.Name, mapLabel: "build-map/" + ds.Name})
 			ex.stages = append(ex.stages, joinStage{
-				dim: ds.name, name: "join-" + ds.name, mapEntries: ds.entries,
-				probesIn: in, survivors: counts[si], first: si == 0,
+				dim: ds.Name, name: "join-" + ds.Name, mapEntries: ds.Entries,
+				probesIn: in, survivors: out, first: si == 0,
 			})
-			in = counts[si]
+			in = out
 		}
 		ex.matched = in
 		return ex

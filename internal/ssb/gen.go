@@ -128,16 +128,12 @@ func Generate(sf float64) (*Data, error) {
 	}
 	d := &Data{SF: sf}
 	d.Date = genDates()
-	d.dateByKey = make(map[uint32]*Date, len(d.Date))
-	d.dateIdx = make([]int32, 7*372)
+	d.dateIdx = make([]int32, DateSlots)
 	for i := range d.dateIdx {
 		d.dateIdx[i] = -1
 	}
 	for i := range d.Date {
-		k := d.Date[i].DateKey
-		d.dateByKey[k] = &d.Date[i]
-		y, m, dd := k/10000, k/100%100, k%100
-		d.dateIdx[(y-1992)*372+(m-1)*31+(dd-1)] = int32(i)
+		d.dateIdx[DateSlot(d.Date[i].DateKey)] = int32(i)
 	}
 	d.Customer = genCustomers(customerCount(sf))
 	d.Supplier = genSuppliers(supplierCount(sf))

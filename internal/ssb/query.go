@@ -424,42 +424,24 @@ type Selectivities struct {
 
 // Measure computes the query's dimension selectivities on the data set.
 func Measure(d *Data, q Query) Selectivities {
-	sel := Selectivities{Date: 1, Cust: 1, Supp: 1, Part: 1}
-	if q.DateFilter != nil {
-		n := 0
-		for i := range d.Date {
-			if q.DateFilter(&d.Date[i]) {
-				n++
-			}
-		}
-		sel.Date = float64(n) / float64(len(d.Date))
+	return Selectivities{
+		Date: kept(d.Date, q.DateFilter),
+		Cust: kept(d.Customer, q.CustFilter),
+		Supp: kept(d.Supplier, q.SuppFilter),
+		Part: kept(d.Part, q.PartFilter),
 	}
-	if q.CustFilter != nil {
-		n := 0
-		for i := range d.Customer {
-			if q.CustFilter(&d.Customer[i]) {
-				n++
-			}
-		}
-		sel.Cust = float64(n) / float64(len(d.Customer))
+}
+
+// kept is the fraction of rows filter keeps; a nil filter keeps them all.
+func kept[T any](rows []T, filter func(*T) bool) float64 {
+	if filter == nil {
+		return 1
 	}
-	if q.SuppFilter != nil {
-		n := 0
-		for i := range d.Supplier {
-			if q.SuppFilter(&d.Supplier[i]) {
-				n++
-			}
+	n := 0
+	for i := range rows {
+		if filter(&rows[i]) {
+			n++
 		}
-		sel.Supp = float64(n) / float64(len(d.Supplier))
 	}
-	if q.PartFilter != nil {
-		n := 0
-		for i := range d.Part {
-			if q.PartFilter(&d.Part[i]) {
-				n++
-			}
-		}
-		sel.Part = float64(n) / float64(len(d.Part))
-	}
-	return sel
+	return float64(n) / float64(len(rows))
 }

@@ -103,57 +103,90 @@ type Data struct {
 	Part      []Part
 	Date      []Date
 
-	// Key-indexed lookup maps (dimension keys are dense, but Date is keyed
-	// by yyyymmdd; these maps are what a query engine would build once).
-	dateByKey map[uint32]*Date
-	// dateIdx is a dense yyyymmdd decoding of dateByKey: slot
-	// (y-1992)*372 + (m-1)*31 + (day-1), -1 for days outside the calendar.
-	// Scan loops hit DateByKey once per fact row, so the map lookup shows
-	// up in profiles; the dense form is a bounds check and an array load.
+	// dateIdx maps each DateSlot to its row in Date, -1 for slots that are
+	// no calendar day. Scan loops resolve dates per fact row, so the lookup
+	// is a bounds check and an array load rather than a map probe.
 	dateIdx []int32
 
 	// memo caches query-execution artifacts that are pure functions of the
-	// generated data (encoded fact tables, per-query join results). The
+	// generated data (encoded fact tables, per-query fact passes). The
 	// engines re-execute every query on every machine configuration; the
 	// answers cannot differ, only the simulated traffic charged for them.
 	memoMu sync.Mutex
-	memo   map[string]any
+	memo   map[string]*memoEntry
+}
+
+// memoEntry is one memoized value.
+type memoEntry struct {
+	done sync.WaitGroup // released when the build returns
+	val  any
+	ok   bool // the build returned normally
 }
 
 // Memo returns the value cached under key, computing it with build on first
-// use. Builds run under the data's lock, so concurrent callers of the same
-// key compute it once and mutate nothing shared. build must be a pure
-// function of the (immutable) data set, and callers must not modify the
-// returned value.
+// use. Each key has at most one build in flight: concurrent callers of that
+// key wait for it and share its value, while other keys build in parallel
+// (a build may itself call Memo for a different key). A build that panics
+// caches nothing; its waiters wake and the next caller retries. build must
+// be a pure function of the (immutable) data set, and callers must not
+// modify the returned value.
 func (d *Data) Memo(key string, build func() any) any {
-	d.memoMu.Lock()
-	defer d.memoMu.Unlock()
-	if v, ok := d.memo[key]; ok {
-		return v
+	for {
+		d.memoMu.Lock()
+		e, ok := d.memo[key]
+		if !ok {
+			if d.memo == nil {
+				d.memo = make(map[string]*memoEntry)
+			}
+			e = &memoEntry{}
+			e.done.Add(1)
+			d.memo[key] = e
+			d.memoMu.Unlock()
+			d.fill(key, e, build)
+			return e.val
+		}
+		d.memoMu.Unlock()
+		if e.done.Wait(); e.ok {
+			return e.val
+		}
 	}
-	if d.memo == nil {
-		d.memo = make(map[string]any)
-	}
-	v := build()
-	d.memo[key] = v
-	return v
 }
 
-// DateByKey returns the date row for a yyyymmdd key.
-func (d *Data) DateByKey(key uint32) *Date {
-	if d.dateIdx != nil {
-		y := key / 10000
-		m := key / 100 % 100
-		dd := key % 100
-		if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
-			return nil
+// fill runs build for e, dropping the entry again if build panics.
+func (d *Data) fill(key string, e *memoEntry, build func() any) {
+	defer func() {
+		if !e.ok {
+			d.memoMu.Lock()
+			delete(d.memo, key)
+			d.memoMu.Unlock()
 		}
-		if ix := d.dateIdx[(y-1992)*372+(m-1)*31+(dd-1)]; ix >= 0 {
+		e.done.Done()
+	}()
+	e.val = build()
+	e.ok = true
+}
+
+// DateSlots is the size of the dense calendar-slot space of DateSlot.
+const DateSlots = 7 * 372
+
+// DateSlot maps a yyyymmdd key to its dense calendar slot
+// (y-1992)*372 + (m-1)*31 + (d-1), or -1 for keys outside 1992..1998.
+func DateSlot(key uint32) int {
+	y, m, dd := key/10000, key/100%100, key%100
+	if y < 1992 || y > 1998 || m < 1 || m > 12 || dd < 1 || dd > 31 {
+		return -1
+	}
+	return int((y-1992)*372 + (m-1)*31 + (dd - 1))
+}
+
+// DateByKey returns the date row for a yyyymmdd key, nil if there is none.
+func (d *Data) DateByKey(key uint32) *Date {
+	if s := DateSlot(key); s >= 0 {
+		if ix := d.dateIdx[s]; ix >= 0 {
 			return &d.Date[ix]
 		}
-		return nil
 	}
-	return d.dateByKey[key]
+	return nil
 }
 
 // CustomerByKey returns the customer with the given (1-based, dense) key.
