@@ -18,7 +18,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dramdimm"
 	"repro/internal/faults"
-	"repro/internal/fluid"
 	"repro/internal/interleave"
 	"repro/internal/metrics"
 	"repro/internal/simtrace"
@@ -146,8 +145,8 @@ type Machine struct {
 	cfg     Config
 	topo    *topology.Topology
 	layout  *interleave.Layout
-	warmth  *upi.Warmth
-	wear    []*xpdimm.Wear // per socket
+	warmth  upi.Warmth
+	wear    []xpdimm.Wear // per socket
 	metrics *metrics.Registry
 	rec     *recorder
 	trace   *simtrace.Process
@@ -166,6 +165,7 @@ type Machine struct {
 	// still gets its activation edge); faultStartTrace remembers each active
 	// fault's activation point in trace coordinates so its span can be
 	// emitted at recovery; minMediaScale tracks the deepest throttle seen.
+	// faultStartTrace and degraded are made only for a machine with a plan.
 	inj             *faults.Injector
 	clock           float64
 	faultCursor     float64
@@ -174,12 +174,18 @@ type Machine struct {
 	// degraded caches channel-offline interleave layouts by online count.
 	degraded map[int]*interleave.Layout
 
-	// rm and eng are the machine's reusable run scratch: one runModel and one
-	// fluid engine serve every run, reset between runs (see runModel.reset).
-	// Runs on one machine were already serialized by the lifetime clock, so
-	// sharing the scratch does not narrow the concurrency contract.
-	rm  *runModel
-	eng *fluid.Engine
+	// shape is what the machine shares with every machine of its topology
+	// shape: frozen metric names and the pool that lends run scratch (a run
+	// model and a fluid engine, see runScratch). scr is the scratch of the
+	// machine's last run and lease its claim on it: while no other machine
+	// has taken scr, the next run reuses it untouched; otherwise the run
+	// takes scratch from the pool, reset to what a new one would be, or
+	// builds one. Runs on one machine were already serialized by the
+	// lifetime clock, so lending the scratch does not narrow the
+	// concurrency contract.
+	shape *shape
+	scr   *runScratch
+	lease uint64
 }
 
 // New builds a machine from the configuration.
@@ -203,16 +209,15 @@ func New(cfg Config) (*Machine, error) {
 		cfg.Faults = plan
 	}
 	m := &Machine{
-		cfg:             cfg,
-		topo:            topo,
-		layout:          interleave.MustNewLayout(topo.ChannelsPerSocket(), cfg.Topology.InterleaveBytes),
-		warmth:          upi.NewWarmth(),
-		metrics:         reg,
-		chCursor:        make([]int, topo.Sockets()),
-		faultCursor:     -1,
-		faultStartTrace: map[int]float64{},
-		minMediaScale:   1,
-		degraded:        map[int]*interleave.Layout{},
+		cfg:           cfg,
+		topo:          topo,
+		layout:        interleave.MustNewLayout(topo.ChannelsPerSocket(), cfg.Topology.InterleaveBytes),
+		metrics:       reg,
+		chCursor:      make([]int, topo.Sockets()),
+		faultCursor:   -1,
+		minMediaScale: 1,
+		wear:          make([]xpdimm.Wear, topo.Sockets()),
+		shape:         shapeOf(topo),
 	}
 	if cfg.Faults != nil {
 		inj, err := cfg.Faults.Compile(topo.Sockets(), topo.ChannelsPerSocket())
@@ -220,12 +225,11 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.inj = inj
+		m.faultStartTrace = map[int]float64{}
+		m.degraded = map[int]*interleave.Layout{}
 	}
-	m.rec = newRecorder(reg, topo)
+	m.rec = newRecorder(reg, m.shape)
 	m.traceInit()
-	for s := 0; s < topo.Sockets(); s++ {
-		m.wear = append(m.wear, &xpdimm.Wear{})
-	}
 	return m, nil
 }
 
@@ -249,7 +253,7 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Metrics() *metrics.Registry { return m.metrics }
 
 // Wear returns the Optane wear counter of a socket.
-func (m *Machine) Wear(s topology.SocketID) *xpdimm.Wear { return m.wear[s] }
+func (m *Machine) Wear(s topology.SocketID) *xpdimm.Wear { return &m.wear[s] }
 
 // Region is a named allocation on one socket's PMEM, DRAM, or on the SSD.
 type Region struct {

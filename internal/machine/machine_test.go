@@ -106,6 +106,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := m.Run([]*Stream{noBytes}); err == nil {
 		t.Error("Run with zero bytes succeeded")
 	}
+	badPin := &Stream{Label: "bp", Region: r, AccessSize: 4096, Bytes: 1e9, Policy: cpu.PinNone + 1}
+	if _, err := m.Run([]*Stream{badPin}); err == nil {
+		t.Error("Run with an unknown pin policy succeeded")
+	}
 	noRegion := &Stream{Label: "nr", AccessSize: 4096, Bytes: 1e9}
 	if _, err := m.Run([]*Stream{noRegion}); err == nil {
 		t.Error("Run with nil region succeeded")

@@ -25,7 +25,7 @@ const (
 // solver step, so population changes (a stream finishing) and state changes
 // (a region warming up) reshape the allocation mid-run.
 type runModel struct {
-	m       *Machine
+	m       *Machine // nil while the scratch waits in its shape's pool
 	streams []*Stream
 	flows   []*fluid.Flow
 	// flowPool owns the Flow structs; flows is flowPool[:len(streams)]. The
@@ -43,12 +43,16 @@ type runModel struct {
 	dramSystem *fluid.Resource
 	upiDirs    map[[2]int]*fluid.Resource
 	ssdRes     *fluid.Resource
-	coldRes    map[upi.Key]*fluid.Resource
-	unpinned   map[access.Direction]*fluid.Resource
+	coldRes    map[upi.Key]dynRes
+	unpinned   map[access.Direction]dynRes
 	// threadRes serializes flows that share a logical core: a thread that
 	// both scans and probes divides its cycles between the two, it does not
 	// run them in parallel. Capacity 1 = one core-second per second.
-	threadRes map[threadKey]*fluid.Resource
+	threadRes map[threadKey]dynRes
+	// adoptions counts the machines the scratch has been armed for (see
+	// adopt); a dynamic resource is in the resource list only once it has
+	// been used since the latest.
+	adoptions uint64
 
 	// uW is the per-socket PMEM media write-utilization estimate used by the
 	// mixed-workload read inflation (Section 5.1); uWDram likewise for DRAM.
@@ -66,17 +70,18 @@ type runModel struct {
 	// allocates nothing.
 	solver fluid.Solver
 
-	// Resource-list cache: resCache holds every resource in a stable,
-	// append-only order (fixed resources first, then dynamic ones in
-	// creation order), so peaks — each resource's highest utilization
-	// across the run, the paper's VTune-style bottleneck diagnostic — can
-	// live in a parallel slice instead of a name-keyed map. resValid is
-	// cleared whenever a dynamic resource is created.
+	// Resource-list cache: resCache holds every resource in an order that is
+	// stable and append-only while one machine holds the scratch (fixed
+	// resources first, then dynamic ones in first-use order), so peaks —
+	// each resource's highest utilization across the run, the paper's
+	// VTune-style bottleneck diagnostic — can live in a parallel slice
+	// instead of a name-keyed map. resValid is cleared whenever a dynamic
+	// resource joins the list, and when adopt restarts it.
 	resCache []*fluid.Resource
 	peaks    []float64
 	resValid bool
 	upiList  []*fluid.Resource
-	dynList  []*fluid.Resource // cold/unpinned/thread resources, creation order
+	dynList  []*fluid.Resource // cold/unpinned/thread resources in the list (see dynamic)
 	threadOf []*fluid.Resource // per-stream thread resource, resolved once
 
 	// dirty marks machine-state changes (directory warm-up flips, fsdax
@@ -98,6 +103,30 @@ type runModel struct {
 	// tr accumulates the run's timeline bookkeeping; nil when the machine has
 	// no trace recorder attached.
 	tr *runTrace
+}
+
+// dynRes is a dynamic resource and the adoption it was last listed in.
+type dynRes struct {
+	r        *fluid.Resource
+	adoption uint64
+}
+
+// dynamic returns the dynamic resource for key, making it on first use and
+// appending it to the resource list on first use since the scratch was
+// adopted, so the list holds dynamic resources in the order the current
+// machine's runs first used them.
+func dynamic[K comparable](rm *runModel, made map[K]dynRes, key K, name func() string) *fluid.Resource {
+	d, ok := made[key]
+	if !ok || d.adoption != rm.adoptions {
+		if !ok {
+			d.r = &fluid.Resource{Name: name()}
+		}
+		d.adoption = rm.adoptions
+		made[key] = d
+		rm.dynList = append(rm.dynList, d.r)
+		rm.resValid = false
+	}
+	return d.r
 }
 
 type pkCoreKey struct {
@@ -124,30 +153,29 @@ type flowCtx struct {
 	prefetchEff  float64
 }
 
+// newRunModel builds run scratch for m's topology shape and arms it for a
+// run of m over streams.
 func newRunModel(m *Machine, streams []*Stream) *runModel {
+	sockets := m.topo.Sockets()
 	rm := &runModel{
-		m:         m,
 		upiDirs:   make(map[[2]int]*fluid.Resource),
-		coldRes:   make(map[upi.Key]*fluid.Resource),
-		unpinned:  make(map[access.Direction]*fluid.Resource),
-		threadRes: make(map[threadKey]*fluid.Resource),
-		uW:        make([]float64, m.topo.Sockets()),
-		uWDram:    make([]float64, m.topo.Sockets()),
-		uWPrev:    make([]float64, 2*m.topo.Sockets()),
+		coldRes:   make(map[upi.Key]dynRes),
+		unpinned:  make(map[access.Direction]dynRes),
+		threadRes: make(map[threadKey]dynRes),
+		uW:        make([]float64, sockets),
+		uWDram:    make([]float64, sockets),
+		uWPrev:    make([]float64, 2*sockets),
 	}
-	for s := 0; s < m.topo.Sockets(); s++ {
-		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: "pmem-media-" + strconv.Itoa(s), Capacity: 1})
-		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: "dram-media-" + strconv.Itoa(s), Capacity: 1})
+	for s := 0; s < sockets; s++ {
+		rm.pmemMedia = append(rm.pmemMedia, &fluid.Resource{Name: "pmem-media-" + strconv.Itoa(s)})
+		rm.dramMedia = append(rm.dramMedia, &fluid.Resource{Name: "dram-media-" + strconv.Itoa(s)})
 	}
-	rm.dramSystem = &fluid.Resource{Name: "dram-system", Capacity: m.cfg.DRAM.SystemReadBytesPerSec}
-	rm.ssdRes = &fluid.Resource{Name: "ssd", Capacity: 1}
-	for a := 0; a < m.topo.Sockets(); a++ {
-		for b := 0; b < m.topo.Sockets(); b++ {
+	rm.dramSystem = &fluid.Resource{Name: "dram-system"}
+	rm.ssdRes = &fluid.Resource{Name: "ssd"}
+	for a := 0; a < sockets; a++ {
+		for b := 0; b < sockets; b++ {
 			if a != b {
-				r := &fluid.Resource{
-					Name:     "upi-" + strconv.Itoa(a) + "-" + strconv.Itoa(b),
-					Capacity: m.cfg.UPI.RawBytesPerSecPerDir,
-				}
+				r := &fluid.Resource{Name: "upi-" + strconv.Itoa(a) + "-" + strconv.Itoa(b)}
 				rm.upiDirs[[2]int{a, b}] = r
 				rm.upiList = append(rm.upiList, r)
 			}
@@ -164,8 +192,44 @@ func newRunModel(m *Machine, streams []*Stream) *runModel {
 	}
 	rm.gsRegionSocks = map[int]uint64{}
 	rm.gsPkCore = map[pkCoreKey]bool{}
-	rm.reset(streams)
+	rm.adopt(m, streams)
 	return rm
+}
+
+// adopt arms scratch built for m's topology shape, new or last used by
+// another machine, for a run of m over streams, leaving it as a new
+// newRunModel would be: every fixed resource's capacity comes from m's
+// Config (faulted runs rewrite the media and UPI capacities), the dynamic
+// resources are dropped from the resource list so its order restarts with
+// the fixed ones (their structs stay made, for reuse), and the peaks restart
+// at zero.
+func (rm *runModel) adopt(m *Machine, streams []*Stream) {
+	rm.m = m
+	for s := range rm.pmemMedia {
+		rm.pmemMedia[s].Capacity = 1
+		rm.dramMedia[s].Capacity = 1
+	}
+	rm.dramSystem.Capacity = m.cfg.DRAM.SystemReadBytesPerSec
+	rm.ssdRes.Capacity = 1
+	for _, r := range rm.upiList {
+		r.Capacity = m.cfg.UPI.RawBytesPerSecPerDir
+	}
+	rm.adoptions++
+	rm.dynList = rm.dynList[:0]
+	rm.resValid = false
+	rm.peaks = rm.peaks[:0]
+	rm.reset(streams)
+}
+
+// detach ends a run: it drops every pointer the scratch holds to the
+// machine, its streams, regions and trace, so that scratch waiting in the
+// pool keeps none of them alive.
+func (rm *runModel) detach() {
+	rm.m = nil
+	rm.streams = nil
+	rm.tr = nil
+	clear(rm.fctx[:cap(rm.fctx)])
+	clear(rm.hzRegions[:cap(rm.hzRegions)])
 }
 
 // reset re-arms the model for a new run over streams, reusing every piece of
@@ -414,22 +478,13 @@ func (rm *runModel) computeCosts(pop population) {
 
 	// Refresh dynamic resources.
 	for key, n := range pop.coldCount {
-		if _, ok := rm.coldRes[key]; !ok {
-			r := &fluid.Resource{Name: "cold-r" + strconv.Itoa(key.Region) + "-s" + strconv.Itoa(key.Socket)}
-			rm.coldRes[key] = r
-			rm.dynList = append(rm.dynList, r)
-			rm.resValid = false
-		}
-		rm.coldRes[key].Capacity = cfg.UPI.ColdCap(n)
+		dynamic(rm, rm.coldRes, key, func() string {
+			return "cold-r" + strconv.Itoa(key.Region) + "-s" + strconv.Itoa(key.Socket)
+		}).Capacity = cfg.UPI.ColdCap(n)
 	}
 	for dir, n := range pop.unpinnedCount {
-		if _, ok := rm.unpinned[dir]; !ok {
-			r := &fluid.Resource{Name: "unpinned-" + dir.String()}
-			rm.unpinned[dir] = r
-			rm.dynList = append(rm.dynList, r)
-			rm.resValid = false
-		}
-		rm.unpinned[dir].Capacity = cfg.CPU.UnpinnedCap(dir, n)
+		dynamic(rm, rm.unpinned, dir, func() string { return "unpinned-" + dir.String() }).Capacity =
+			cfg.CPU.UnpinnedCap(dir, n)
 	}
 
 	for i, s := range rm.streams {
@@ -504,15 +559,10 @@ func (rm *runModel) computeCosts(pop population) {
 		if demand > 0 {
 			tr := rm.threadOf[i]
 			if tr == nil {
-				tk := threadKey{s.Policy, s.Placement.Core}
-				var ok bool
-				tr, ok = rm.threadRes[tk]
-				if !ok {
-					tr = &fluid.Resource{Name: "thread-" + s.Policy.String() + "-c" + strconv.Itoa(int(s.Placement.Core)), Capacity: 1}
-					rm.threadRes[tk] = tr
-					rm.dynList = append(rm.dynList, tr)
-					rm.resValid = false
-				}
+				tr = dynamic(rm, rm.threadRes, threadKey{s.Policy, s.Placement.Core}, func() string {
+					return "thread-" + s.Policy.String() + "-c" + strconv.Itoa(int(s.Placement.Core))
+				})
+				tr.Capacity = 1
 				rm.threadOf[i] = tr
 			}
 			costs = append(costs, fluid.Cost{Resource: tr, PerByte: 1 / demand})
@@ -669,12 +719,12 @@ func (rm *runModel) computeCosts(pop population) {
 				if !rm.m.warmth.IsWarm(key) {
 					fc.cold = true
 					fc.coldKey = key
-					costs = append(costs, fluid.Cost{Resource: rm.coldRes[key], PerByte: 1})
+					costs = append(costs, fluid.Cost{Resource: rm.coldRes[key].r, PerByte: 1})
 				}
 			}
 		}
 		if s.Policy == cpu.PinNone {
-			costs = append(costs, fluid.Cost{Resource: rm.unpinned[s.Dir], PerByte: 1})
+			costs = append(costs, fluid.Cost{Resource: rm.unpinned[s.Dir].r, PerByte: 1})
 		}
 
 		f.Costs = costs

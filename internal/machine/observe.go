@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/access"
 	"repro/internal/cpu"
@@ -67,8 +66,8 @@ type recorder struct {
 	pfUseful   *metrics.Counter
 	pfWasted   *metrics.Counter
 	pfEffMean  *metrics.Gauge
-	pinStreams map[cpu.PinPolicy]*metrics.Counter
-	pinBytes   map[cpu.PinPolicy]*metrics.Counter
+	pinStreams []*metrics.Counter // indexed by cpu.PinPolicy
+	pinBytes   []*metrics.Counter
 	htShared   *metrics.Counter
 
 	// Fault-injection observability (scraped as sim_fault_* by pmemd).
@@ -85,15 +84,19 @@ type recorder struct {
 
 // handles hands out one kind of recorder handle in the order layout asks
 // for them. While a topology shape's names are built (naming), it records
-// each formatted name and hands out nils; binding a machine then slices the
-// resolved handles without formatting anything.
+// each formatted name and the number of grid and link rows, and hands out
+// nils; binding a machine then slices the bound handles, and carves the rows
+// from one preallocated backing, without formatting anything.
 type handles[H any] struct {
 	naming bool
 	names  []string
+	nrows  int
 	h      []*H
+	rows   [][]*H
 }
 
-// take hands out the next n handles; name(i) is the i-th one's name.
+// take hands out the next n handles; name(i) is the i-th one's name, and an
+// empty name is a hole that binds to nil.
 func (hs *handles[H]) take(n int, name func(i int) string) []*H {
 	if hs.naming {
 		for i := range n {
@@ -114,9 +117,20 @@ func (hs *handles[H]) perSocket(format string, sockets int) []*H {
 	return hs.take(sockets, func(s int) string { return fmt.Sprintf(format, s) })
 }
 
+// takeRows hands out the outer slice of an n-row table.
+func (hs *handles[H]) takeRows(n int) [][]*H {
+	if hs.naming {
+		hs.nrows += n
+		return make([][]*H, n)
+	}
+	out := hs.rows[:n:n]
+	hs.rows = hs.rows[n:]
+	return out
+}
+
 // grid hands out one handle per [socket][channel].
 func (hs *handles[H]) grid(format string, sockets, channels int) [][]*H {
-	out := make([][]*H, sockets)
+	out := hs.takeRows(sockets)
 	for s := range out {
 		out[s] = hs.take(channels, func(c int) string { return fmt.Sprintf(format, s, c) })
 	}
@@ -126,40 +140,23 @@ func (hs *handles[H]) grid(format string, sockets, channels int) [][]*H {
 // links hands out one handle per [from][to] socket pair, nil on the
 // diagonal, where no UPI link runs.
 func (hs *handles[H]) links(format string, sockets int) [][]*H {
-	out := make([][]*H, sockets)
+	out := hs.takeRows(sockets)
 	for a := range out {
-		out[a] = make([]*H, sockets)
-		for b := range out[a] {
-			if a != b {
-				out[a][b] = hs.take(1, func(int) string { return fmt.Sprintf(format, a, b) })[0]
+		out[a] = hs.take(sockets, func(b int) string {
+			if a == b {
+				return ""
 			}
-		}
+			return fmt.Sprintf(format, a, b)
+		})
 	}
 	return out
 }
 
-// recorderNames holds the counter and gauge names of one topology shape, in
-// layout order.
-type recorderNames struct{ counters, gauges []string }
-
-var (
-	namesMu      sync.Mutex
-	namesByShape = map[[2]int]*recorderNames{} // {sockets, channels}
-)
-
-func newRecorder(reg *metrics.Registry, topo *topology.Topology) *recorder {
-	sockets, channels := topo.Sockets(), topo.ChannelsPerSocket()
-	namesMu.Lock()
-	names := namesByShape[[2]int{sockets, channels}]
-	if names == nil {
-		c, g := &handles[metrics.Counter]{naming: true}, &handles[metrics.Gauge]{naming: true}
-		layout(c, g, sockets, channels)
-		names = &recorderNames{c.names, g.names}
-		namesByShape[[2]int{sockets, channels}] = names
-	}
-	namesMu.Unlock()
-	cs, gs := reg.Handles(names.counters, names.gauges)
-	r := layout(&handles[metrics.Counter]{h: cs}, &handles[metrics.Gauge]{h: gs}, sockets, channels)
+// newRecorder binds a recorder of the shape sh to the registry.
+func newRecorder(reg *metrics.Registry, sh *shape) *recorder {
+	cs, gs := reg.Bind(sh.ix)
+	r := layout(&handles[metrics.Counter]{h: cs, rows: make([][]*metrics.Counter, sh.crows)},
+		&handles[metrics.Gauge]{h: gs, rows: make([][]*metrics.Gauge, sh.grows)}, sh.sockets, sh.channels)
 	// A healthy machine never ticks the fault path; 1 (no derate) is the
 	// meaningful resting value for the min-scale gauge, not 0.
 	r.faultScaleMin.Set(1)
@@ -216,13 +213,11 @@ func layout(c *handles[metrics.Counter], g *handles[metrics.Gauge], sockets, cha
 		writeAmpMean:   g.perSocket("xpdimm.s%d.write_amplification.mean", sockets),
 		wearBytes:      g.perSocket("xpdimm.s%d.wear.media_bytes", sockets),
 
-		pfBytes:    c.one("cpu.prefetch.bytes"),
-		pfUseful:   c.one("cpu.prefetch.useful_bytes"),
-		pfWasted:   c.one("cpu.prefetch.wasted_media_bytes"),
-		pfEffMean:  g.one("cpu.prefetch.efficiency.mean"),
-		pinStreams: map[cpu.PinPolicy]*metrics.Counter{},
-		pinBytes:   map[cpu.PinPolicy]*metrics.Counter{},
-		htShared:   c.one("cpu.ht_shared.streams"),
+		pfBytes:   c.one("cpu.prefetch.bytes"),
+		pfUseful:  c.one("cpu.prefetch.useful_bytes"),
+		pfWasted:  c.one("cpu.prefetch.wasted_media_bytes"),
+		pfEffMean: g.one("cpu.prefetch.efficiency.mean"),
+		htShared:  c.one("cpu.ht_shared.streams"),
 
 		faultActivations: c.one("fault.activations"),
 		faultRecoveries:  c.one("fault.recoveries"),
@@ -234,15 +229,14 @@ func layout(c *handles[metrics.Counter], g *handles[metrics.Gauge], sockets, cha
 		faultRewarm:      c.one("fault.rewarm.invalidations"),
 		faultScaleMin:    g.one("fault.media_scale.min"),
 	}
-	pins := []cpu.PinPolicy{cpu.PinCores, cpu.PinNUMA, cpu.PinNone}
-	streams := c.take(len(pins), func(i int) string { return "cpu.pin." + pins[i].String() + ".streams" })
-	bytes := c.take(len(pins), func(i int) string { return "cpu.pin." + pins[i].String() + ".bytes" })
-	for i, pol := range pins {
-		r.pinStreams[pol] = streams[i]
-		r.pinBytes[pol] = bytes[i]
-	}
+	r.pinStreams = c.take(pinPolicies, func(p int) string { return "cpu.pin." + cpu.PinPolicy(p).String() + ".streams" })
+	r.pinBytes = c.take(pinPolicies, func(p int) string { return "cpu.pin." + cpu.PinPolicy(p).String() + ".bytes" })
 	return r
 }
+
+// pinPolicies is how many pin policies there are: cpu.PinCores, PinNUMA and
+// PinNone, numbered from 0 (Stream.Validate rejects any other).
+const pinPolicies = int(cpu.PinNone) + 1
 
 // recordAlloc accounts a new region.
 func (r *recorder) recordAlloc(class access.DeviceClass, size int64) {

@@ -12,13 +12,14 @@ import (
 
 // TestNewAllocs guards the fixed cost of a fresh machine, which the paper's
 // characterization grid pays once per point (core.MeasurePoints builds a new
-// machine for every point). Metric names are built once per topology shape
-// and a machine's handles come from one registry call, so construction must
-// not grow with the ~115 metrics a machine records.
+// machine for every point). Metric names are frozen into an index once per
+// topology shape, and a machine's private registry binds that index with one
+// slab per kind, so construction must not grow with the ~115 metrics a
+// machine records.
 func TestNewAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	MustNew(cfg)         // builds the topology shape's name lists
-	const maxAllocs = 80 // measured 46
+	MustNew(cfg)         // builds the topology shape's name index
+	const maxAllocs = 16 // measured 13
 	if n := testing.AllocsPerRun(50, func() { MustNew(cfg) }); n > maxAllocs {
 		t.Errorf("New allocates %.0f/op, want <= %d", n, maxAllocs)
 	}

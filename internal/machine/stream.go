@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/cpu"
-	"repro/internal/fluid"
 	"repro/internal/topology"
 )
 
@@ -47,6 +46,9 @@ func (s *Stream) Validate() error {
 	}
 	if s.Bytes <= 0 {
 		return fmt.Errorf("machine: stream %q has no bytes to move", s.Label)
+	}
+	if s.Policy < 0 || int(s.Policy) >= pinPolicies {
+		return fmt.Errorf("machine: stream %q has unknown pin policy %d", s.Label, s.Policy)
 	}
 	return nil
 }
@@ -133,14 +135,9 @@ func (m *Machine) run(ctx context.Context, streams []*Stream, maxTime float64, s
 			m.rec.htShared.Inc()
 		}
 	}
-	if m.rm == nil {
-		m.rm = newRunModel(m, streams)
-		m.eng = fluid.NewEngine(m.rm)
-	} else {
-		m.rm.reset(streams)
-		m.eng.Reset()
-	}
-	rm, eng := m.rm, m.eng
+	sc := m.acquireScratch(streams)
+	defer m.releaseScratch()
+	rm, eng := sc.rm, sc.eng
 	eng.StopOnCompletion = stopFirst
 	eng.Add(rm.flows...)
 	if err := eng.RunContext(ctx, maxTime); err != nil {

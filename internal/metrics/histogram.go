@@ -78,6 +78,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
+		if r.histograms == nil {
+			r.histograms = make(map[string]*Histogram)
+		}
 		h = newHistogram(bounds)
 		r.histograms[name] = h
 	}

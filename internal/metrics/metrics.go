@@ -88,24 +88,26 @@ func (g *Gauge) Value() float64 {
 }
 
 // Registry is a named collection of counters and gauges. The zero value is
-// not usable; call New. A nil *Registry is a valid no-op sink: Counter and
-// Gauge return nil handles whose methods do nothing, so model code can
-// record unconditionally.
+// an empty registry, as New returns. A nil *Registry is a valid no-op sink:
+// Counter and Gauge return nil handles whose methods do nothing, so model
+// code can record unconditionally.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+
+	// ix is the one index bound wholesale (see Bind): the counter named
+	// ix.counters.names[i] is ixCounters[ix.counters.slot[i]], likewise for
+	// gauges. Its names never also appear in the maps above.
+	ix         *Index
+	ixCounters []Counter
+	ixGauges   []Gauge
 }
 
-// New creates an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
+// New creates an empty registry. Its maps are made on first use, so a
+// registry that only binds one Index never makes them.
+func New() *Registry { return &Registry{} }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -114,12 +116,16 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	return r.counter(name)
+}
+
+func (r *Registry) counter(name string) *Counter {
+	if r.ix != nil {
+		if i, ok := r.ix.counters.byName[name]; ok {
+			return &r.ixCounters[i]
+		}
 	}
-	return c
+	return lookup(&r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -129,52 +135,115 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauge(name)
 }
 
-// Handles resolves many counters and gauges under one lock acquisition,
-// returning handles parallel to the name lists. A name already registered
-// yields its existing handle, exactly as Counter and Gauge would, so
-// registries shared by several recorders keep one value per name; new
-// handles are carved from one allocation per kind. A nil registry yields
-// nil handles.
-func (r *Registry) Handles(counterNames, gaugeNames []string) ([]*Counter, []*Gauge) {
-	cs := make([]*Counter, len(counterNames))
-	gs := make([]*Gauge, len(gaugeNames))
+func (r *Registry) gauge(name string) *Gauge {
+	if r.ix != nil {
+		if i, ok := r.ix.gauges.byName[name]; ok {
+			return &r.ixGauges[i]
+		}
+	}
+	return lookup(&r.gauges, name)
+}
+
+// lookup returns the handle registered under name in *m, creating the map
+// and the handle as needed.
+func lookup[H any](m *map[string]*H, name string) *H {
+	h, ok := (*m)[name]
+	if !ok {
+		if *m == nil {
+			*m = make(map[string]*H)
+		}
+		h = new(H)
+		(*m)[name] = h
+	}
+	return h
+}
+
+// Index is a frozen, ordered list of counter and gauge names with a slot
+// per distinct name. Building one costs a map insertion per name; binding
+// it to an empty registry costs one slab per kind and no insertions, which
+// is what makes many short-lived registries of one shape (a private
+// registry per fresh simulated machine) cheap. An empty name is a hole: it
+// binds to a nil handle.
+type Index struct{ counters, gauges nameSlots }
+
+// nameSlots is one kind's names in order with the slot of each (-1 for a
+// hole), and the slot of each distinct name.
+type nameSlots struct {
+	names  []string
+	slot   []int
+	byName map[string]int
+}
+
+// NewIndex freezes the name lists. A name repeated within a list shares one
+// slot.
+func NewIndex(counterNames, gaugeNames []string) *Index {
+	return &Index{newNameSlots(counterNames), newNameSlots(gaugeNames)}
+}
+
+func newNameSlots(names []string) nameSlots {
+	ns := nameSlots{names: names, slot: make([]int, len(names)), byName: make(map[string]int, len(names))}
+	for i, name := range names {
+		if name == "" {
+			ns.slot[i] = -1
+			continue
+		}
+		s, ok := ns.byName[name]
+		if !ok {
+			s = len(ns.byName)
+			ns.byName[name] = s
+		}
+		ns.slot[i] = s
+	}
+	return ns
+}
+
+// fromSlab points each of out at its name's slot in slab.
+func fromSlab[H any](ns nameSlots, slab []H, out []*H) {
+	for i, s := range ns.slot {
+		if s >= 0 {
+			out[i] = &slab[s]
+		}
+	}
+}
+
+// Bind resolves every name of the index under one lock acquisition,
+// returning handles parallel to its name lists (nil at holes). A name the
+// registry already holds yields its existing handle, exactly as Counter and
+// Gauge would, so registries shared by several recorders keep one value per
+// name. An empty registry, or one already bound to this index, binds
+// without touching its maps. A nil registry yields nil handles.
+func (r *Registry) Bind(ix *Index) ([]*Counter, []*Gauge) {
+	cs := make([]*Counter, len(ix.counters.names))
+	gs := make([]*Gauge, len(ix.gauges.names))
 	if r == nil {
 		return cs, gs
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	resolve(&r.counters, counterNames, cs)
-	resolve(&r.gauges, gaugeNames, gs)
-	return cs, gs
-}
-
-// resolve fills out with the handles named by names, registering the missing
-// ones in *m from a single slab. An empty map is replaced by one sized for
-// names, so a fresh registry does not grow it step by step.
-func resolve[H any](m *map[string]*H, names []string, out []*H) {
-	if len(*m) == 0 {
-		*m = make(map[string]*H, len(names))
+	if r.ix == nil && len(r.counters) == 0 && len(r.gauges) == 0 {
+		r.ix = ix
+		r.ixCounters = make([]Counter, len(ix.counters.byName))
+		r.ixGauges = make([]Gauge, len(ix.gauges.byName))
 	}
-	var slab []H
-	for i, name := range names {
-		h, ok := (*m)[name]
-		if !ok {
-			if len(slab) == 0 {
-				slab = make([]H, len(names)-i)
-			}
-			h, slab = &slab[0], slab[1:]
-			(*m)[name] = h
+	if r.ix == ix {
+		fromSlab(ix.counters, r.ixCounters, cs)
+		fromSlab(ix.gauges, r.ixGauges, gs)
+		return cs, gs
+	}
+	for i, name := range ix.counters.names {
+		if name != "" {
+			cs[i] = r.counter(name)
 		}
-		out[i] = h
 	}
+	for i, name := range ix.gauges.names {
+		if name != "" {
+			gs[i] = r.gauge(name)
+		}
+	}
+	return cs, gs
 }
 
 // Sample is one named value in a snapshot.
@@ -205,6 +274,14 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, Sample{name, g.Value()})
+	}
+	if r.ix != nil {
+		for name, i := range r.ix.counters.byName {
+			s.Counters = append(s.Counters, Sample{name, r.ixCounters[i].Value()})
+		}
+		for name, i := range r.ix.gauges.byName {
+			s.Gauges = append(s.Gauges, Sample{name, r.ixGauges[i].Value()})
+		}
 	}
 	for name, h := range r.histograms {
 		s.Histograms = append(s.Histograms, h.sample(name))

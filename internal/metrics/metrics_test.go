@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,20 +59,23 @@ func TestHandleIdentity(t *testing.T) {
 	}
 }
 
-// TestHandlesMatchCounterAndGauge pins the bulk call to the one-name calls:
-// a name registered earlier resolves to its existing handle, a name repeated
-// within one call resolves once, and new handles are the ones Counter and
-// Gauge return afterwards.
+// TestHandlesMatchCounterAndGauge pins the bulk call (Bind over an Index) to
+// the one-name calls: a name registered earlier resolves to its existing
+// handle, a name repeated within one call resolves once, a hole binds to
+// nil, and new handles are the ones Counter and Gauge return afterwards.
 func TestHandlesMatchCounterAndGauge(t *testing.T) {
 	r := New()
 	oldC, oldG := r.Counter("old.bytes"), r.Gauge("old.peak")
 	oldC.Add(7)
-	cs, gs := r.Handles([]string{"new.bytes", "old.bytes", "new.bytes"}, []string{"old.peak", "new.peak"})
-	if len(cs) != 3 || len(gs) != 2 {
-		t.Fatalf("got %d counters and %d gauges, want 3 and 2", len(cs), len(gs))
+	cs, gs := r.Bind(NewIndex([]string{"new.bytes", "old.bytes", "new.bytes", ""}, []string{"old.peak", "new.peak"}))
+	if len(cs) != 4 || len(gs) != 2 {
+		t.Fatalf("got %d counters and %d gauges, want 4 and 2", len(cs), len(gs))
 	}
 	if cs[1] != oldC || gs[0] != oldG {
-		t.Fatal("Handles must return the handle already registered under a name")
+		t.Fatal("Bind must return the handle already registered under a name")
+	}
+	if cs[3] != nil {
+		t.Fatal("a hole must bind to a nil handle")
 	}
 	if cs[1].Value() != 7 {
 		t.Fatalf("existing counter reads %g, want 7", cs[1].Value())
@@ -80,16 +84,52 @@ func TestHandlesMatchCounterAndGauge(t *testing.T) {
 		t.Fatal("a name repeated within one call must resolve to one handle")
 	}
 	if r.Counter("new.bytes") != cs[0] || r.Gauge("new.peak") != gs[1] {
-		t.Fatal("Counter/Gauge must return the handles Handles registered")
+		t.Fatal("Counter/Gauge must return the handles Bind registered")
 	}
 	if got := len(r.Snapshot().Counters); got != 2 {
 		t.Fatalf("registry holds %d counters, want 2", got)
 	}
 
 	var nilReg *Registry
-	cs, gs = nilReg.Handles([]string{"a", "b"}, []string{"c"})
+	cs, gs = nilReg.Bind(NewIndex([]string{"a", "b"}, []string{"c"}))
 	if len(cs) != 2 || len(gs) != 1 || cs[0] != nil || cs[1] != nil || gs[0] != nil {
 		t.Fatal("a nil registry must yield nil handles, one per name")
+	}
+}
+
+// TestBindSharesOneValuePerName checks the bound index against the maps: a
+// registry shared by several binders, or by Bind and the one-name calls,
+// keeps one value per name whichever path registered it first.
+func TestBindSharesOneValuePerName(t *testing.T) {
+	ix := NewIndex([]string{"a.bytes", "", "b.bytes"}, []string{"a.peak"})
+	r := New()
+	cs, gs := r.Bind(ix)
+	cs[0].Add(3)
+	gs[0].Set(2)
+	again, _ := r.Bind(ix)
+	if again[0] != cs[0] || again[2] != cs[2] || again[1] != nil {
+		t.Fatal("binding an index twice must yield the same handles")
+	}
+	if r.Counter("a.bytes") != cs[0] || r.Gauge("a.peak") != gs[0] {
+		t.Fatal("Counter/Gauge must return the bound handles")
+	}
+	other, _ := r.Bind(NewIndex([]string{"b.bytes", "c.bytes"}, nil))
+	if other[0] != cs[2] || other[1] != r.Counter("c.bytes") {
+		t.Fatal("a second index must share the names the first one bound")
+	}
+	want := Snapshot{
+		Counters: []Sample{{"a.bytes", 3}, {"b.bytes", 0}, {"c.bytes", 0}},
+		Gauges:   []Sample{{"a.peak", 2}},
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
+	}
+
+	held := New()
+	pre := held.Counter("b.bytes")
+	hs, _ := held.Bind(ix)
+	if hs[2] != pre || hs[0] != held.Counter("a.bytes") {
+		t.Fatal("a registry already holding a name must keep its handle")
 	}
 }
 

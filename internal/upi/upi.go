@@ -73,15 +73,11 @@ type Key struct {
 // first pass. A region becomes warm for a socket once that socket has
 // far-read the region's full extent (every first-touch triggers a directory
 // remap, so the whole first run is cold; the second run is warm), or when
-// explicitly marked (the paper's single-thread pre-read trick).
+// explicitly marked (the paper's single-thread pre-read trick). The zero
+// Warmth is empty and ready to use; its maps are made on first write.
 type Warmth struct {
 	progress map[Key]float64
 	warm     map[Key]bool
-}
-
-// NewWarmth creates an empty warmth tracker.
-func NewWarmth() *Warmth {
-	return &Warmth{progress: make(map[Key]float64), warm: make(map[Key]bool)}
 }
 
 // IsWarm reports whether the pair has completed its cold pass.
@@ -93,9 +89,12 @@ func (w *Warmth) Record(k Key, bytes float64, regionBytes int64) {
 	if w.warm[k] || bytes <= 0 {
 		return
 	}
+	if w.progress == nil {
+		w.progress = make(map[Key]float64)
+	}
 	w.progress[k] += bytes
 	if w.progress[k] >= float64(regionBytes) {
-		w.warm[k] = true
+		w.MarkWarm(k)
 	}
 }
 
@@ -113,7 +112,12 @@ func (w *Warmth) RemainingCold(k Key, regionBytes int64) float64 {
 
 // MarkWarm forces the pair warm (e.g., after a deliberate pre-read, or when
 // constructing an already-touched data set).
-func (w *Warmth) MarkWarm(k Key) { w.warm[k] = true }
+func (w *Warmth) MarkWarm(k Key) {
+	if w.warm == nil {
+		w.warm = make(map[Key]bool)
+	}
+	w.warm[k] = true
+}
 
 // Invalidate resets a pair to cold (the mapping was reassigned to the other
 // socket: "if access to the same memory regions is constantly switching

@@ -47,7 +47,7 @@ func TestTwoSocketFarReadPlateau(t *testing.T) {
 }
 
 func TestWarmthLifecycle(t *testing.T) {
-	w := NewWarmth()
+	w := &Warmth{}
 	k := Key{Region: 1, Socket: 0}
 	region := int64(10e9)
 
@@ -79,7 +79,7 @@ func TestWarmthLifecycle(t *testing.T) {
 }
 
 func TestWarmthPerSocketIndependence(t *testing.T) {
-	w := NewWarmth()
+	w := &Warmth{}
 	a := Key{Region: 1, Socket: 0}
 	b := Key{Region: 1, Socket: 1}
 	w.MarkWarm(a)
@@ -92,7 +92,7 @@ func TestWarmthPerSocketIndependence(t *testing.T) {
 }
 
 func TestWarmthInvalidate(t *testing.T) {
-	w := NewWarmth()
+	w := &Warmth{}
 	k := Key{Region: 2, Socket: 1}
 	w.MarkWarm(k)
 	w.Invalidate(k)
@@ -105,7 +105,7 @@ func TestWarmthInvalidate(t *testing.T) {
 }
 
 func TestNegativeRecordIgnored(t *testing.T) {
-	w := NewWarmth()
+	w := &Warmth{}
 	k := Key{Region: 3, Socket: 0}
 	w.Record(k, -100, 1000)
 	if got := w.RemainingCold(k, 1000); got != 1000 {
